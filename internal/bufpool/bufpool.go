@@ -3,13 +3,18 @@
 // the steady-state seal→compress→ship→ingest path allocates nothing per
 // operation.
 //
-// Two costs motivate it. A flate.Writer is a multi-kilobyte struct that
-// compress/flate rebuilds from scratch on every NewWriter call — the single
-// largest per-segment allocation the offload engine used to make. And every
-// NAND page copy, segment marshal, and codec frame used to be a fresh
-// make([]byte, ...) that lived for microseconds. Both are rental, not
-// ownership, problems: Get a buffer, fill it, Release it when the bytes
-// have moved on.
+// Two costs motivate it. Codec state is large — hash and token tables for
+// the encoder, Huffman tables for the decoder — and every NAND page copy,
+// segment marshal, and codec frame used to be a fresh make([]byte, ...)
+// that lived for microseconds. Both are rental, not ownership, problems:
+// Get a buffer or codec, use it, Release it when the bytes have moved on.
+//
+// The codec itself is in-house and whole-buffer: Deflater (deflate.go)
+// emits exactly the bytes of compress/flate at BestSpeed, from a port of
+// that level with the per-block overheads taken out, and Inflater
+// (inflate.go) decodes any DEFLATE stream with two-level tables.
+// compress/flate appears only in the tests, as the oracle both are
+// checked against.
 //
 // Contract: Release returns the buffer to the pool for immediate reuse, so
 // a released buffer must not be read or written again — reuse-after-release
@@ -20,7 +25,6 @@
 package bufpool
 
 import (
-	"compress/flate"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -123,117 +127,4 @@ func (b *Buf) Release() {
 	c := classFor(n)
 	b.B = b.B[:0]
 	pools[c].Put(b)
-}
-
-// appendSink is the io.Writer a pooled Deflater compresses into: an append
-// target that lives inside the pooled wrapper, so taking its address never
-// escapes a fresh allocation.
-type appendSink struct {
-	b []byte
-}
-
-func (s *appendSink) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
-// Deflater is a pooled flate.Writer (BestSpeed, the codec's one level)
-// bundled with its output sink. Rent with GetDeflater, compress with
-// Append, and Release when done.
-type Deflater struct {
-	w    *flate.Writer
-	sink appendSink
-}
-
-var deflaters = sync.Pool{New: func() any {
-	d := &Deflater{}
-	// NewWriter only fails on an invalid level; BestSpeed is valid.
-	d.w, _ = flate.NewWriter(&d.sink, flate.BestSpeed)
-	return d
-}}
-
-// GetDeflater rents a pooled DEFLATE compressor.
-func GetDeflater() *Deflater { return deflaters.Get().(*Deflater) }
-
-// Release returns the compressor to the pool.
-func (d *Deflater) Release() {
-	if d == nil {
-		return
-	}
-	d.sink.b = nil // never retain caller memory across rentals
-	deflaters.Put(d)
-}
-
-// Append appends the complete DEFLATE stream of p to dst and returns the
-// extended slice. With sufficient dst capacity it performs zero
-// allocations.
-func (d *Deflater) Append(dst, p []byte) ([]byte, error) {
-	d.sink.b = dst
-	d.w.Reset(&d.sink)
-	if _, err := d.w.Write(p); err != nil {
-		d.sink.b = nil
-		return dst, err
-	}
-	err := d.w.Close()
-	out := d.sink.b
-	d.sink.b = nil
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
-}
-
-// Inflater is a pooled DEFLATE decompressor. Unlike the Deflater it does
-// not wrap compress/flate: stdlib inflate re-allocates its dynamic-Huffman
-// link tables on every block, so a pooled stdlib reader still costs ~16
-// allocs per realistic segment. The decoder in inflate.go keeps its bit
-// reader, Huffman tables, and code-length scratch in fixed arrays inside
-// this struct, rebuilt in place per block — steady-state decode is 0
-// allocs/op, matching the encode lane.
-type Inflater struct {
-	br   bitReader
-	lit  huffTable
-	dist huffTable
-	clen huffTable
-	lens [286 + 30]uint8 // dynamic-header code lengths (hlit + hdist max)
-	// limit, when positive, bounds the decoded output size (AppendLimited):
-	// a stream that tries to produce more is corrupt by the caller's
-	// framing, and aborting early keeps a flipped-bit blob from inflating
-	// without bound on the ingest path.
-	limit int
-}
-
-var inflaters = sync.Pool{New: func() any { return &Inflater{} }}
-
-// GetInflater rents a pooled DEFLATE decompressor.
-func GetInflater() *Inflater { return inflaters.Get().(*Inflater) }
-
-// Release returns the decompressor to the pool.
-func (i *Inflater) Release() {
-	if i == nil {
-		return
-	}
-	i.br.in = nil // never retain caller memory across rentals
-	inflaters.Put(i)
-}
-
-// Append appends the decompression of the DEFLATE stream p to dst and
-// returns the extended slice. With sufficient dst capacity it performs zero
-// allocations. Decode failures return ErrCorrupt or ErrTruncated (possibly
-// with dst partially extended); the caller's pooled buffer discipline makes
-// partial output harmless.
-func (i *Inflater) Append(dst, p []byte) ([]byte, error) {
-	i.limit = 0
-	return i.inflate(dst, p)
-}
-
-// AppendLimited is Append with an output bound: decoding fails with
-// ErrCorrupt as soon as the stream would exceed max decoded bytes. Callers
-// whose framing records the expected decoded size (the segment codec
-// header) pass it here so corrupted streams cannot balloon memory.
-func (i *Inflater) AppendLimited(dst, p []byte, max int) ([]byte, error) {
-	i.limit = max
-	out, err := i.inflate(dst, p)
-	i.limit = 0
-	return out, err
 }

@@ -43,10 +43,7 @@ func TestReleaseNilAndOddCap(t *testing.T) {
 func TestDeflateInflateRoundtrip(t *testing.T) {
 	payload := bytes.Repeat([]byte("retained page content "), 500)
 	d := GetDeflater()
-	comp, err := d.Append(nil, payload)
-	if err != nil {
-		t.Fatalf("deflate: %v", err)
-	}
+	comp := d.Append(nil, payload)
 	d.Release()
 	if len(comp) >= len(payload) {
 		t.Fatalf("compressible payload did not shrink: %d -> %d", len(payload), len(comp))
@@ -93,21 +90,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 	if n := testing.AllocsPerRun(50, func() {
 		d := GetDeflater()
-		var err error
-		buf.B, err = d.Append(buf.B[:0], payload)
+		buf.B = d.Append(buf.B[:0], payload)
 		d.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
 	}); n != 0 {
 		t.Errorf("Deflater.Append: %v allocs/op, want 0", n)
 	}
 
 	d := GetDeflater()
-	comp, err := d.Append(nil, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := d.Append(nil, payload)
 	d.Release()
 	if n := testing.AllocsPerRun(50, func() {
 		i := GetInflater()
@@ -119,6 +109,38 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Inflater.Append: %v allocs/op, want 0", n)
+	}
+
+	// Segment-sized workload content: multi-block streams with dynamic,
+	// Huffman-only and stored blocks and matches across block boundaries.
+	corpus := workloadCorpus(t)
+	for _, name := range []string{"hm/40", "src/40/cipher", "usr/7"} {
+		p := corpus[name]
+		enc := Get(len(p) + 1024)
+		dec := Get(len(p))
+		if n := testing.AllocsPerRun(20, func() {
+			d := GetDeflater()
+			enc.B = d.Append(enc.B[:0], p)
+			d.Release()
+		}); n != 0 {
+			t.Errorf("%s: Deflater.Append: %v allocs/op, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			i := GetInflater()
+			var err error
+			dec.B, err = i.Append(dec.B[:0], enc.B)
+			i.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Inflater.Append: %v allocs/op, want 0", name, n)
+		}
+		if !bytes.Equal(dec.B, p) {
+			t.Fatalf("%s: roundtrip mismatch", name)
+		}
+		enc.Release()
+		dec.Release()
 	}
 }
 
@@ -137,12 +159,8 @@ func TestConcurrentRental(t *testing.T) {
 				b := Get(rng.Intn(16 << 10))
 				b.B = append(b.B, payload...)
 				d := GetDeflater()
-				comp, err := d.Append(nil, b.B)
+				comp := d.Append(nil, b.B)
 				d.Release()
-				if err != nil {
-					t.Error(err)
-					return
-				}
 				inf := GetInflater()
 				got, err := inf.Append(nil, comp)
 				inf.Release()

@@ -56,6 +56,20 @@ func testPayloads(t *testing.T) map[string][]byte {
 	for i := range pagelike {
 		pagelike[i] = byte((i * 2654435761) >> 13)
 	}
+	// Short copies between random literals, mostly from near by and now
+	// and then from far back: the rare far distances get long codes on
+	// top of 13 extra bits, the widest length/distance pairs.
+	fardist := make([]byte, 0, 256<<10)
+	fardist = append(fardist, noise[:40<<10]...)
+	for len(fardist) < cap(fardist)-64 {
+		n := 4 + rng.Intn(12)
+		from := len(fardist) - 16 - rng.Intn(200)
+		if rng.Intn(16) == 0 {
+			from = len(fardist) - 16384 - rng.Intn(16000)
+		}
+		fardist = append(fardist, fardist[from:from+n]...)
+		fardist = append(fardist, noise[rng.Intn(len(noise)-8):][:1+rng.Intn(6)]...)
+	}
 	return map[string][]byte{
 		"empty":    nil,
 		"one":      []byte{0x42},
@@ -66,6 +80,7 @@ func testPayloads(t *testing.T) map[string][]byte {
 		"noise":    noise,
 		"mixed":    mixed,
 		"pagelike": pagelike,
+		"fardist":  fardist,
 		"allbytes": func() []byte {
 			b := make([]byte, 4096)
 			for i := range b {
@@ -217,5 +232,80 @@ func TestInflateDynamicSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("%s: roundtrip mismatch", name)
 		}
 		out.Release()
+	}
+}
+
+// subtree appends the code lengths of a complete subtree hanging off one
+// root prefix: lengths root+1 .. root+depth-1 once each and root+depth
+// twice, the fewest codes that give a subtable of 2^depth entries.
+func subtree(lens []uint8, root, depth int) []uint8 {
+	for d := 1; d < depth; d++ {
+		lens = append(lens, uint8(root+d))
+	}
+	return append(lens, uint8(root+depth), uint8(root+depth))
+}
+
+// completeWith appends short codes covering the Kraft mass left after
+// the subtrees, largest first, so the whole code is complete.
+func completeWith(lens []uint8, leftOver, root int) []uint8 {
+	for l := 1; leftOver > 0; l++ {
+		if w := 1 << (root - l); leftOver >= w {
+			lens = append(lens, uint8(l))
+			leftOver -= w
+		}
+	}
+	return lens
+}
+
+// TestBuildTableWorstCaseSubtables builds the complete codes with the most
+// subtable space the size bounds allow for: they must build (the overflow
+// guard is unreachable for valid codes) within the fixed arrays.
+func TestBuildTableWorstCaseSubtables(t *testing.T) {
+	var lit []uint8
+	for i := 0; i < 46; i++ {
+		lit = subtree(lit, litRootBits, maxCodeBits-litRootBits)
+	}
+	lit = completeWith(lit, 1<<litRootBits-46, litRootBits)
+	if len(lit) > 286 {
+		t.Fatalf("literal code has %d symbols", len(lit))
+	}
+	var tab [litTableSize]uint32
+	info := make([]uint32, len(lit))
+	if err := buildTable(tab[:], litRootBits, lit, info); err != nil {
+		t.Fatalf("literal/length worst case: %v", err)
+	}
+
+	var dist []uint8
+	for i := 0; i < 2; i++ {
+		dist = subtree(dist, distRootBits, maxCodeBits-distRootBits)
+	}
+	dist = completeWith(dist, 1<<distRootBits-2, distRootBits)
+	if len(dist) > 30 {
+		t.Fatalf("distance code has %d symbols", len(dist))
+	}
+	var dtab [distTableSize]uint32
+	if err := buildTable(dtab[:], distRootBits, dist, make([]uint32, len(dist))); err != nil {
+		t.Fatalf("distance worst case: %v", err)
+	}
+}
+
+// TestInflateLongCodes decodes streams whose Huffman codes reach the
+// 15-bit limit: Fibonacci-skewed literal frequencies push the rarest
+// symbols deep, through the second table level.
+func TestInflateLongCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var p []byte
+	a, b := 1, 1
+	for sym := 0; sym < 24; sym++ {
+		p = append(p, bytes.Repeat([]byte{byte(sym * 7)}, a)...)
+		a, b = b, a+b
+	}
+	rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	for _, level := range []int{flate.HuffmanOnly, flate.BestSpeed, 9} {
+		comp := deflateWith(t, level, p)
+		got, err := inflateAll(comp)
+		if err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("level %d: err=%v equal=%v", level, err, bytes.Equal(got, p))
+		}
 	}
 }

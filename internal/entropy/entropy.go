@@ -13,38 +13,72 @@ import "math"
 // Shannon returns the empirical Shannon entropy of data in bits per byte,
 // in [0, 8]. An empty slice has zero entropy.
 func Shannon(data []byte) float64 {
-	if len(data) == 0 {
-		return 0
-	}
 	var counts [256]int
 	for _, b := range data {
 		counts[b]++
 	}
-	total := float64(len(data))
-	h := 0.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / total
-		h -= p * math.Log2(p)
-	}
-	return h
+	return fromCounts(&counts, len(data))
 }
 
 // Sampled returns the Shannon entropy of up to max bytes of data, sampled
 // with a fixed stride across the whole buffer. The device-side logging path
-// uses it to bound per-write CPU cost, as firmware would.
+// uses it to bound per-write CPU cost, as firmware would; the sample is
+// counted in place, so the call allocates nothing.
 func Sampled(data []byte, max int) float64 {
 	if max <= 0 || len(data) <= max {
 		return Shannon(data)
 	}
 	stride := len(data) / max
-	sample := make([]byte, 0, max)
-	for i := 0; i < len(data) && len(sample) < max; i += stride {
-		sample = append(sample, data[i])
+	var counts [256]int
+	n := 0
+	for i := 0; i < len(data) && n < max; i += stride {
+		counts[data[i]]++
+		n++
 	}
-	return Shannon(sample)
+	return fromCounts(&counts, n)
+}
+
+// tableN is the sample size the logging path uses (Sampled(page, 512));
+// plogp[c] holds its term p·log2(p) for p = c/tableN.
+const tableN = 512
+
+var plogp [tableN + 1]float64
+
+func init() {
+	for c := 1; c <= tableN; c++ {
+		plogp[c] = term(c, tableN)
+	}
+}
+
+// term is one symbol's p·log2(p). The conversion rounds the product, so no
+// platform fuses it into the caller's subtraction: a table entry and a
+// fresh evaluation are the same float64.
+func term(c, n int) float64 {
+	p := float64(c) / float64(n)
+	return float64(p * math.Log2(p))
+}
+
+// fromCounts is the entropy of a histogram over n bytes, summed in byte
+// order; for n == tableN each term is a table lookup with the same value.
+func fromCounts(counts *[256]int, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	h := 0.0
+	if n == tableN {
+		for _, c := range counts {
+			if c != 0 {
+				h -= plogp[c]
+			}
+		}
+		return h
+	}
+	for _, c := range counts {
+		if c != 0 {
+			h -= term(c, n)
+		}
+	}
+	return h
 }
 
 // HighEntropy reports whether e (bits/byte) is in the range characteristic

@@ -3,6 +3,7 @@ package entropy
 import (
 	"crypto/rand"
 	"math"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -98,5 +99,81 @@ func TestEntropyPermutationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sampledReference is Sampled as first written: gather the strided sample
+// into a slice, then evaluate p·log2(p) per symbol.
+func sampledReference(data []byte, max int) float64 {
+	sample := data
+	if max > 0 && len(data) > max {
+		stride := len(data) / max
+		sample = make([]byte, 0, max)
+		for i := 0; i < len(data) && len(sample) < max; i += stride {
+			sample = append(sample, data[i])
+		}
+	}
+	if len(sample) == 0 {
+		return 0
+	}
+	var counts [256]int
+	for _, b := range sample {
+		counts[b]++
+	}
+	total := float64(len(sample))
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / total
+		h -= p * math.Log2(p)
+	}
+	return h
+}
+
+// TestSampledBitIdentical pins the table-driven Sampled to the original
+// formula bit for bit, over page shapes from constant to ciphertext: the
+// estimate is stamped into every log entry, so it must not move.
+func TestSampledBitIdentical(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(5))
+	page := make([]byte, 4096)
+	for trial := 0; trial < 20000; trial++ {
+		alphabet := 1 + rng.Intn(256)
+		randomPrefix := rng.Intn(len(page) + 1)
+		for i := range page {
+			if i < randomPrefix {
+				page[i] = byte(rng.Intn(alphabet))
+			} else {
+				page[i] = byte('a' + i%23)
+			}
+		}
+		size := len(page)
+		if trial%4 == 0 {
+			size = 1 + rng.Intn(len(page))
+		}
+		for _, max := range []int{512, 256, 0} {
+			got, want := Sampled(page[:size], max), sampledReference(page[:size], max)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d size %d max %d: Sampled %v, reference %v", trial, size, max, got, want)
+			}
+		}
+	}
+}
+
+func TestSampledAllocs(t *testing.T) {
+	page := make([]byte, 4096)
+	rand.Read(page)
+	if n := testing.AllocsPerRun(100, func() { Sampled(page, 512) }); n != 0 {
+		t.Fatalf("Sampled: %v allocs/op, want 0", n)
+	}
+}
+
+func BenchmarkSampled(b *testing.B) {
+	page := make([]byte, 4096)
+	rand.Read(page)
+	b.ReportAllocs()
+	for b.Loop() {
+		Sampled(page, 512)
 	}
 }

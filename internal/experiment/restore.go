@@ -90,7 +90,7 @@ func (rr restoreRun) run(cfg core.Config, nd *nand.Device, deviceID, cut uint64,
 			dials++
 			if dials == 1 {
 				dc, sc := net.Pipe()
-				go srv.HandleConn(sc)
+				srv.Accept(sc)
 				// Handshake (2 reads) + one 3-read chunk frame: the link
 				// dies with the first chunk applied and the rest unsent.
 				return remote.Dial(remote.NewChokeConn(dc, 5), PSK, deviceID)

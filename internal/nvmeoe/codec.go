@@ -4,13 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bufpool"
 )
 
-// This file is the one compression implementation in the tree: the frame
+// This file is the one compression entry point in the tree: the frame
 // layer, the segment-blob wire format, and the retention-capacity models
-// all compress through it.
+// all compress through it. The DEFLATE work itself is bufpool's in-house
+// codec, whose streams are byte-identical to compress/flate at BestSpeed.
 //
 // Segment blobs — the unit the offload engine ships and the remote store
 // persists — carry their own codec header, so the same encoded bytes travel
@@ -49,6 +51,11 @@ func (c Codec) String() string {
 		return fmt.Sprintf("Codec(%d)", uint8(c))
 	}
 }
+
+// maxDeflateRatio bounds DEFLATE expansion: a match yields at most 258
+// bytes for at least two bits of code, so no stream decodes to more than
+// 1032 times its own size.
+const maxDeflateRatio = 1032
 
 // storedSavingShift sets the deflate-versus-stored break-even: compression
 // must save at least raw>>storedSavingShift (1/16th) or the blob is stored.
@@ -143,6 +150,10 @@ func AppendDecodeSegmentBlob(dst, blob []byte) ([]byte, error) {
 		if rawLen > MaxPayload {
 			return nil, fmt.Errorf("%w: claimed logical size %d exceeds %d", ErrBadBlob, rawLen, MaxPayload)
 		}
+		// Presize to the claimed size so the inflater writes in place; a
+		// DEFLATE stream cannot expand past maxDeflateRatio, so a lying
+		// header cannot size more than its body could ever produce.
+		dst = slices.Grow(dst, min(int(rawLen), maxDeflateRatio*len(body)))
 		base := len(dst)
 		out, err := AppendInflateLimited(dst, body, int(rawLen))
 		if err != nil {
@@ -192,13 +203,13 @@ func Deflate(p []byte) ([]byte, bool) {
 
 // AppendDeflate appends the DEFLATE compression of p to dst, reporting
 // false — with dst returned unchanged — when compression does not shrink p.
-// The compressor itself is pooled (a flate.Writer is a multi-KB struct);
-// with sufficient dst capacity the call allocates nothing.
+// The compressor itself is pooled (its tables are hundreds of KB); with
+// sufficient dst capacity the call allocates nothing.
 func AppendDeflate(dst, p []byte) ([]byte, bool) {
 	d := bufpool.GetDeflater()
-	out, err := d.Append(dst, p)
+	out := d.Append(dst, p)
 	d.Release()
-	if err != nil || len(out)-len(dst) >= len(p) {
+	if len(out)-len(dst) >= len(p) {
 		return dst, false
 	}
 	return out, true

@@ -247,7 +247,7 @@ func (c *Cluster) Dial(deviceID uint64) (*Client, error) {
 	if c.cfg.WrapConn != nil {
 		devSide = c.cfg.WrapConn(deviceID, dc)
 	}
-	go target.srv.HandleConn(sc)
+	target.srv.Accept(sc)
 	cl, err := Dial(devSide, c.cfg.PSK, deviceID)
 	if err != nil {
 		devSide.Close()

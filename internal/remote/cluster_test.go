@@ -246,13 +246,20 @@ func TestServerCloseDrainsDecodeLane(t *testing.T) {
 	srv := NewServer(st, psk)
 	srv.Config = ServerConfig{DecodeWorkers: 3, DecodeQueueDepth: 64}
 
-	var wg sync.WaitGroup
+	var wg, accepted sync.WaitGroup
 	for d := 0; d < devices; d++ {
 		dev := uint64(300 + d)
 		wg.Add(1)
+		accepted.Add(1)
 		go func() {
 			defer wg.Done()
-			cl, err := Loopback(srv, psk, dev)
+			// Loopback, split so the test knows when the server has
+			// accepted the connection: Close must cut every accepted
+			// connection, including one still in its handshake.
+			dc, sc := net.Pipe()
+			srv.Accept(sc)
+			accepted.Done()
+			cl, err := Dial(dc, psk, dev)
 			if err != nil {
 				return // raced with Close before the handshake; nothing pushed
 			}
@@ -264,7 +271,10 @@ func TestServerCloseDrainsDecodeLane(t *testing.T) {
 		}()
 	}
 
-	// Let the fleet get genuinely mid-flight before pulling the plug.
+	// Let the fleet get genuinely mid-flight before pulling the plug: every
+	// device accepted (a device that dials only after Close returns is a
+	// new session, which a drain serves normally) and segments applied.
+	accepted.Wait()
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.IngestTotals().Segments < devices*4 {
 		if time.Now().After(deadline) {

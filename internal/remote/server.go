@@ -44,8 +44,8 @@ type Server struct {
 	NIC *netsim.Arbiter
 
 	mu            sync.Mutex
-	conns         map[net.Conn]uint64 // active session -> device ID
-	closed        *sync.Cond          // broadcast when a session deregisters; lazily built under mu
+	conns         map[net.Conn]connEntry // every connection from accept to teardown
+	closed        *sync.Cond             // broadcast when a session deregisters; lazily built under mu
 	sessionsTotal uint64
 	recStats      map[uint64]*RecoveryStats
 	ingest        map[uint64]*ingestLedger
@@ -154,8 +154,16 @@ func NewServer(store *Store, psk []byte) *Server {
 	return &Server{
 		Store:     store,
 		LookupPSK: func(uint64) ([]byte, bool) { return psk, true },
-		conns:     map[net.Conn]uint64{},
+		conns:     map[net.Conn]connEntry{},
 	}
+}
+
+// connEntry is a tracked connection: registered at accept, before its
+// handshake, so a Close that runs while the handshake is in flight still
+// closes it; deviceID is known once the handshake authenticates it.
+type connEntry struct {
+	deviceID uint64
+	authed   bool
 }
 
 // Serve accepts connections until the listener closes.
@@ -165,7 +173,7 @@ func (s *Server) Serve(l net.Listener) error {
 		if err != nil {
 			return err
 		}
-		go s.HandleConn(nc)
+		s.Accept(nc)
 	}
 }
 
@@ -173,7 +181,13 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) ActiveSessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.conns)
+	n := 0
+	for _, e := range s.conns {
+		if e.authed {
+			n++
+		}
+	}
+	return n
 }
 
 // SessionsTotal returns how many sessions ever authenticated.
@@ -183,37 +197,40 @@ func (s *Server) SessionsTotal() uint64 {
 	return s.sessionsTotal
 }
 
-// Close terminates every active session and waits for their teardown to
-// finish — including the decode-lane idle barrier each session runs on its
-// way out — so when Close returns, every segment that was in flight is
-// either fully applied (decoded, chain-verified, appended, subscribers
-// run) or never entered the store; nothing is half-applied. Devices see a
-// transport error and requeue their unacked segments. Close is a drain,
-// not a shutdown latch: connections accepted afterwards are served
+// Close is a drain. It closes every connection the server has accepted —
+// authenticated sessions and connections still in their handshake alike —
+// and waits for their teardown to finish, including the decode-lane idle
+// barrier each session runs on its way out. So when Close returns, no
+// connection accepted before the call is tracked, and every segment that
+// was in flight is either fully applied (decoded, chain-verified,
+// appended, subscribers run) or never entered the store; nothing is
+// half-applied, and the store no longer advances on those connections.
+// Devices see a transport error and requeue their unacked segments. Close
+// is not a shutdown latch: connections accepted after it are served
 // normally.
 func (s *Server) Close() {
-	s.closeConns(func(uint64) bool { return true })
+	s.closeConns(func(connEntry) bool { return true })
 }
 
-// CloseDevice terminates (and drains, like Close) only the sessions of one
-// device — how the cluster evicts a device from a live server during
-// rebalancing so it redials to its new owner.
+// CloseDevice terminates (and drains, like Close) only the authenticated
+// sessions of one device — how the cluster evicts a device from a live
+// server during rebalancing so it redials to its new owner.
 func (s *Server) CloseDevice(deviceID uint64) {
-	s.closeConns(func(dev uint64) bool { return dev == deviceID })
+	s.closeConns(func(e connEntry) bool { return e.authed && e.deviceID == deviceID })
 }
 
 // closeConns closes every tracked session matching the predicate and
 // blocks until those sessions deregister. Closing the conn errors any
 // lane worker blocked writing an ack into it, so the per-session
 // waitIdle barrier (which runs before deregistration) cannot wedge.
-func (s *Server) closeConns(match func(deviceID uint64) bool) {
+func (s *Server) closeConns(match func(connEntry) bool) {
 	s.mu.Lock()
 	if s.closed == nil {
 		s.closed = sync.NewCond(&s.mu)
 	}
 	targets := make([]net.Conn, 0, len(s.conns))
-	for nc, dev := range s.conns {
-		if match(dev) {
+	for nc, e := range s.conns {
+		if match(e) {
 			targets = append(targets, nc)
 		}
 	}
@@ -238,14 +255,13 @@ func (s *Server) closeConns(match func(deviceID uint64) bool) {
 	s.mu.Unlock()
 }
 
-// track registers an authenticated session, returning its deregister.
-func (s *Server) track(nc net.Conn, deviceID uint64) func() {
+// track registers an accepted connection, returning its deregister.
+func (s *Server) track(nc net.Conn) func() {
 	s.mu.Lock()
 	if s.conns == nil {
-		s.conns = map[net.Conn]uint64{} // Server built as a literal
+		s.conns = map[net.Conn]connEntry{} // Server built as a literal
 	}
-	s.conns[nc] = deviceID
-	s.sessionsTotal++
+	s.conns[nc] = connEntry{}
 	s.mu.Unlock()
 	return func() {
 		s.mu.Lock()
@@ -296,16 +312,34 @@ func (s *Server) TakeIngestWindow() (segments, bytes uint64) {
 	return s.winSegments.Swap(0), s.winBytes.Swap(0)
 }
 
+// Accept registers nc and serves it on a new goroutine. The registration
+// happens before Accept returns, so a Close that starts afterwards closes
+// nc whatever stage its handshake has reached — the way to hand the server
+// a connection from another goroutine (Serve, Loopback, cluster dials).
+func (s *Server) Accept(nc net.Conn) {
+	go s.serve(nc, s.track(nc))
+}
+
 // HandleConn authenticates one device connection and serves its requests
-// until it disconnects. Exported so tests and in-process wiring can drive
-// a single net.Pipe end without a listener.
+// until it disconnects, on the calling goroutine; nc is registered on
+// entry. Exported so tests and in-process wiring can drive a single
+// net.Pipe end without a listener.
 func (s *Server) HandleConn(nc net.Conn) {
+	s.serve(nc, s.track(nc))
+}
+
+// serve runs one registered connection; untrack deregisters it.
+func (s *Server) serve(nc net.Conn, untrack func()) {
 	defer nc.Close()
+	defer untrack()
 	conn, deviceID, err := nvmeoe.ServerHandshake(nc, s.LookupPSK)
 	if err != nil {
 		return
 	}
-	defer s.track(nc, deviceID)()
+	s.mu.Lock()
+	s.conns[nc] = connEntry{deviceID: deviceID, authed: true}
+	s.sessionsTotal++
+	s.mu.Unlock()
 	ss := newSession(s, nc, conn, deviceID)
 	ss.lane = s.acquireLane()
 	defer s.releaseLane(ss.lane)
@@ -901,6 +935,6 @@ func (c *Client) Head() (nvmeoe.Head, error) {
 // its remote server without real networking.
 func Loopback(srv *Server, psk []byte, deviceID uint64) (*Client, error) {
 	dc, sc := net.Pipe()
-	go srv.HandleConn(sc)
+	srv.Accept(sc)
 	return Dial(dc, psk, deviceID)
 }
