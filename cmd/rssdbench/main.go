@@ -218,11 +218,11 @@ func run() int {
 			"experiment": name,
 			"scale":      *scaleFlag,
 			"flags": map[string]any{
-				"exp":     *exp,
-				"scale":   *scaleFlag,
-				"devices": *fleetDevices,
-				"servers": *fleetServers,
-				"backend": *backendFlag,
+				"exp":       *exp,
+				"scale":     *scaleFlag,
+				"devices":   *fleetDevices,
+				"servers":   *fleetServers,
+				"backend":   *backendFlag,
 				"short":     *short,
 				"dedup":     *dedupFlag,
 				"qos":       *qosFlag,

@@ -99,9 +99,9 @@ type FleetFailover struct {
 
 // FleetScalePoint is one point of the server-count scaling curve.
 type FleetScalePoint struct {
-	Servers     int
-	Devices     int
-	DecodeLanes int // per-server decode lanes (measured and modeled)
+	Servers      int
+	Devices      int
+	DecodeLanes  int // per-server decode lanes (measured and modeled)
 	Segments     uint64
 	WireMB       float64
 	SpreadMaxMin float64 // placement spread max/min across live servers

@@ -584,7 +584,7 @@ func (sd *soakDevice) attackWave(s Scale, inj *chaos.Injector, name AttackName, 
 		return err
 	}
 	sd.fs.Clock().AdvanceTo(sd.end)
-	rng := rand.New(rand.NewSource(int64(7700+wave)))
+	rng := rand.New(rand.NewSource(int64(7700 + wave)))
 	if _, _, err := seedAndSnapshot(sd.fs, rng, s); err != nil {
 		return err
 	}

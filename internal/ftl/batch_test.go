@@ -106,7 +106,7 @@ func TestWriteBatchSurvivesGC(t *testing.T) {
 	for pass := 0; pass < 4; pass++ {
 		var ops []BatchWrite
 		for lpn := uint64(0); lpn < n; lpn++ {
-			ops = append(ops, BatchWrite{LPN: lpn, Data: pageOf(byte(round + int(lpn)), 512)})
+			ops = append(ops, BatchWrite{LPN: lpn, Data: pageOf(byte(round+int(lpn)), 512)})
 		}
 		if _, _, err := f.WriteBatch(ops, 0); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
@@ -186,7 +186,7 @@ func TestSubmitBatchPerOpValidation(t *testing.T) {
 	ops := []batch.Op{
 		{Kind: batch.OpWrite, LPN: 0, Data: pageOf(1, 512)},
 		{Kind: batch.OpWrite, LPN: f.LogicalPages(), Data: pageOf(2, 512)}, // out of range
-		{Kind: batch.OpWrite, LPN: 1, Data: pageOf(3, 100)},               // short payload
+		{Kind: batch.OpWrite, LPN: 1, Data: pageOf(3, 100)},                // short payload
 		{Kind: batch.OpWrite, LPN: 2, Data: pageOf(4, 512)},
 	}
 	res, _, err := f.SubmitBatch(ops, 0)

@@ -193,10 +193,10 @@ type Stats struct {
 // use: the simulation driver issues operations from one goroutine, like
 // the single firmware event loop on the device.
 type FTL struct {
-	cfg  Config
-	geo  nand.Geometry
-	dev  *nand.Device
-	ret  Retainer // may be nil (plain LocalSSD)
+	cfg Config
+	geo nand.Geometry
+	dev *nand.Device
+	ret Retainer // may be nil (plain LocalSSD)
 
 	l2p    *l2pTable // logical page -> PPN or NoPPN, sharded by LPN
 	rmap   []uint64  // PPN -> logical page or NoLPN

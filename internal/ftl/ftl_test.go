@@ -38,15 +38,15 @@ func fill(b byte, n int) []byte {
 
 // recordingRetainer pins according to pinAll and records every event.
 type recordingRetainer struct {
-	pinAll    bool
-	f         *FTL
-	stale     []string
-	erased    []string
-	migrated  []string
-	pressure  int
-	pins      map[uint64]uint64 // ppn -> lpn
+	pinAll         bool
+	f              *FTL
+	stale          []string
+	erased         []string
+	migrated       []string
+	pressure       int
+	pins           map[uint64]uint64 // ppn -> lpn
 	dropOnPressure bool
-	keepLPN   map[uint64]bool // pins for these LPNs survive pressure drops
+	keepLPN        map[uint64]bool // pins for these LPNs survive pressure drops
 }
 
 func newRecordingRetainer(pinAll bool) *recordingRetainer {

@@ -80,16 +80,16 @@ const HashSize = sha256.Size
 // Entry is one operation-log record. The byte layout produced by Marshal
 // is fixed-size so firmware can append without allocation.
 type Entry struct {
-	Seq     uint64
-	At      simclock.Time
-	Kind    Kind
-	LPN     uint64
-	OldPPN  uint64
-	NewPPN  uint64
-	Entropy float32          // Shannon estimate of written content (writes)
-	DataHash [HashSize]byte  // content hash of written data / snapshot digest
-	PrevHash [HashSize]byte  // chain: hash of the previous entry
-	Hash     [HashSize]byte  // chain: SHA-256(PrevHash || body)
+	Seq      uint64
+	At       simclock.Time
+	Kind     Kind
+	LPN      uint64
+	OldPPN   uint64
+	NewPPN   uint64
+	Entropy  float32        // Shannon estimate of written content (writes)
+	DataHash [HashSize]byte // content hash of written data / snapshot digest
+	PrevHash [HashSize]byte // chain: hash of the previous entry
+	Hash     [HashSize]byte // chain: SHA-256(PrevHash || body)
 }
 
 // EntrySize is the marshaled entry size in bytes.
