@@ -17,7 +17,7 @@
 //	rssdbench -exp retention      # storage tiers: local server vs modeled S3 (capacity/latency/cost)
 //	rssdbench -exp recovery       # fleet power-cycle: attack -> detect -> N concurrent streamed restores
 //	rssdbench -exp dedup          # content-addressed restore: dedup+delta vs full-image, scaling curve
-//	rssdbench -exp datapath       # allocation-tracked hot loops + encode-worker vs inline-encode replay
+//	rssdbench -exp datapath       # allocation-tracked hot loops + encode-worker fleet replay
 //	rssdbench -exp ingest         # server decode lane: saturated multi-session ingest vs modeled NIC
 //	rssdbench -exp qos            # shared-NIC QoS: restore storm vs offload + lifecycle, strict-priority vs FIFO
 //	rssdbench -exp soak           # chaos soak: multi-day horizon, seeded fault injection, continuous invariants
@@ -25,8 +25,9 @@
 // -scale small uses the test-sized configuration for a quick pass, and
 // -short shrinks further to the CI smoke size (small scale, 2 devices —
 // an explicitly-set -devices is honored). -servers selects the ingest
-// server count for -exp fleet and is rejected elsewhere. -dedup toggles
-// the content-addressed restore path for -exp recovery (on by default).
+// server count for -exp fleet and is rejected elsewhere. -exp recovery
+// always restores over the content-addressed path (hash-ref chunks +
+// checkpoint-anchored delta); -exp dedup compares it to full-image.
 // -qos toggles strict-priority classing on the shared recovery NIC for
 // -exp recovery (on by default; false runs the FIFO baseline), and
 // -qosfloors sets the offload,lifecycle guaranteed floors for the
@@ -71,7 +72,6 @@ func run() int {
 	fleetDevices := flag.Int("devices", 8, "device count for -exp fleet, retention, recovery, and ingest")
 	fleetServers := flag.Int("servers", 1, "ingest server count for -exp fleet (>1 runs the cluster control plane: consistent-hash placement, injected failover, scaling curve)")
 	backendFlag := flag.String("backend", "all", "storage tier(s) for -exp retention: mem, dir, s3sim, a comma list, or all")
-	dedupFlag := flag.Bool("dedup", true, "content-addressed restore (hash-ref chunks + checkpoint-anchored delta) for -exp recovery")
 	qosFlag := flag.Bool("qos", true, "strict-priority QoS on the shared recovery NIC for -exp recovery (false: FIFO baseline)")
 	qosFloors := flag.String("qosfloors", "0.10,0.05", "offload,lifecycle guaranteed floor fractions on the shared NIC for -exp recovery and qos")
 	short := flag.Bool("short", false, "CI smoke size: small scale, 2 devices (explicit -devices wins)")
@@ -90,15 +90,6 @@ func run() int {
 	if explicit["servers"] && !slices.Contains(serverExps, *exp) {
 		fmt.Fprintf(os.Stderr, "-servers is not supported by -exp %s (supported: %s)\n",
 			*exp, strings.Join(serverExps, ", "))
-		return 2
-	}
-	// -dedup selects the restore path for the recovery experiment; the
-	// dedup experiment always measures both paths, so an explicit flag
-	// anywhere else is a mistake worth rejecting early.
-	dedupExps := []string{"recovery"}
-	if explicit["dedup"] && !slices.Contains(dedupExps, *exp) {
-		fmt.Fprintf(os.Stderr, "-dedup is not supported by -exp %s (supported: %s)\n",
-			*exp, strings.Join(dedupExps, ", "))
 		return 2
 	}
 	// The QoS knobs follow the same registry rule: -qos picks the arbiter
@@ -224,7 +215,6 @@ func run() int {
 				"servers":   *fleetServers,
 				"backend":   *backendFlag,
 				"short":     *short,
-				"dedup":     *dedupFlag,
 				"qos":       *qosFlag,
 				"qosfloors": *qosFloors,
 				"seed":      *seedFlag,
@@ -379,16 +369,12 @@ func run() int {
 	})
 
 	register("recovery", func() error {
-		res, err := experiment.FleetRecovery(s, *fleetDevices, *dedupFlag,
+		res, err := experiment.FleetRecovery(s, *fleetDevices,
 			netsim.Config{Floors: floors, FIFO: !*qosFlag})
 		if err != nil {
 			return err
 		}
-		mode := "full-image"
-		if *dedupFlag {
-			mode = "dedup + checkpoint-delta"
-		}
-		fmt.Printf("Fleet recovery — power-cycle %d devices, concurrent %s streamed restore from one server\n", *fleetDevices, mode)
+		fmt.Printf("Fleet recovery — power-cycle %d devices, concurrent dedup + checkpoint-delta streamed restore from one server\n", *fleetDevices)
 		fmt.Print(experiment.RenderFleetRecovery(res))
 		return persist("recovery", res)
 	})
@@ -413,7 +399,7 @@ func run() int {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Datapath — allocation-tracked hot loops + encode-worker vs inline-encode fleet replay (%d devices) + %d-device server ingest\n",
+		fmt.Printf("Datapath — allocation-tracked hot loops + encode-worker fleet replay (%d devices) + %d-device server ingest\n",
 			*fleetDevices, ingestDevices)
 		fmt.Print(experiment.RenderDatapath(res))
 		return persist("datapath", res)

@@ -10,51 +10,6 @@ import (
 	"repro/internal/simclock"
 )
 
-// TestEncodeWorkersMatchInline runs the same churn through the worker
-// pipeline and the inline-encode baseline: both must land the identical
-// evidence chain at the server — the worker pool moves the compression off
-// the firmware goroutine, it must never change what ships.
-func TestEncodeWorkersMatchInline(t *testing.T) {
-	workerCfg := testConfig()
-	workerCfg.EncodeWorkers = 3
-	inlineCfg := testConfig()
-	inlineCfg.EncodeWorkers = -1
-
-	workers := newEnv(t, workerCfg)
-	inline := newEnv(t, inlineCfg)
-	wDone := churn(t, workers.r, 6, 4, 0)
-	iDone := churn(t, inline.r, 6, 4, 0)
-	if _, err := workers.r.OffloadNow(wDone); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inline.r.OffloadNow(iDone); err != nil {
-		t.Fatal(err)
-	}
-	workers.r.Close()
-	inline.r.Close()
-
-	wh, ih := workers.store.Head(1), inline.store.Head(1)
-	if wh.NextSeq == 0 || wh.NextSeq != ih.NextSeq {
-		t.Fatalf("chain lengths diverge: workers %+v, inline %+v", wh, ih)
-	}
-	ws, is := workers.store.DeviceStats(1), inline.store.DeviceStats(1)
-	if ws.Versions != is.Versions || ws.Entries != is.Entries {
-		t.Fatalf("stores diverge: workers %+v, inline %+v", ws, is)
-	}
-	// The logged operations must be identical op for op. Timestamps (and
-	// therefore chain hashes) legitimately differ — the inline baseline
-	// charges the encode to the host path, shifting the clock — but the
-	// evidence content cannot depend on where compression ran.
-	we := workers.store.Entries(1, 0, wh.NextSeq)
-	ie := inline.store.Entries(1, 0, ih.NextSeq)
-	for i := range we {
-		if we[i].Seq != ie[i].Seq || we[i].Kind != ie[i].Kind ||
-			we[i].LPN != ie[i].LPN || we[i].DataHash != ie[i].DataHash {
-			t.Fatalf("entry %d diverges: workers %+v, inline %+v", i, we[i], ie[i])
-		}
-	}
-}
-
 // TestEncodeStageAccounted: the simulated-time model must charge the
 // encode stage (EncodeTime) and observe its occupancy (EncodeQueuePeak),
 // and in worker mode the host must not pay the encode while the sync

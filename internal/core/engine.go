@@ -37,7 +37,7 @@ import (
 // constant-size bookkeeping (the stagedSegment and its done channel).
 //
 // Simulated-time model: sealing fixes each segment's encode-stage schedule
-// deterministically — EncodeWorkers simulated codec lanes, each encoding
+// deterministically — encodeWorkers simulated codec lanes, each encoding
 // at EncodeMBps, earliest-free lane first — and the transfer goroutine
 // fixes the ack instant from the link model (serialized transfers on one
 // simulated link: start = max(encode done, link free), ack = start + RTT +
@@ -70,14 +70,26 @@ type stagedSegment struct {
 	logical   int               // uncompressed marshal size
 	svc       simclock.Duration // storage tier's modeled Put service time (from the ack)
 	err       error             // set by the transfer goroutine
-	encoded   chan struct{}     // closed by the codec worker; nil when encoded inline
+	encoded   chan struct{}     // closed by the codec worker
 }
+
+// encodeWorkers sizes the codec worker pool that compresses sealed
+// segments off the firmware goroutine: seal hands raw segments to the
+// workers, and the transfer goroutine ships encoded blobs in seal order.
+const encodeWorkers = 2
+
+// The private offload link a device prices its transfers on when no shared
+// NIC is configured: one segment transfer costs RTT + bytes/bandwidth of
+// simulated time, serialized on the link.
+const (
+	offloadLinkRTT  = 30 * simclock.Microsecond
+	offloadLinkMBps = 1200
+)
 
 // offloadEngine owns the staging queue, the codec worker pool, and the
 // transfer goroutine.
 type offloadEngine struct {
 	depth   int                 // staging-queue bound (backpressure point)
-	workers int                 // codec workers (0 = inline encode at seal)
 	encodeq chan *stagedSegment // sealed, awaiting compression
 	xferq   chan *stagedSegment // seal-order lane the transfer goroutine ships
 	results chan *stagedSegment // transfer resolved, FIFO with xferq
@@ -85,7 +97,7 @@ type offloadEngine struct {
 
 	inFlight      []*stagedSegment // firmware-side FIFO mirror of the pipeline
 	pagesInFlight int
-	encFree       []simclock.Time // simulated next-free time per codec lane
+	encFree       [encodeWorkers]simclock.Time // simulated next-free time per codec lane
 	// failure epoch: once one segment fails, everything behind it in the
 	// pipeline fails too (the chain has a gap at the server). Failed
 	// batches are collected in stage order and requeued together when the
@@ -98,36 +110,30 @@ type offloadEngine struct {
 // one client session. Transfers are priced by the device's offload-class
 // flow on the NIC arbiter — a shared server NIC when cfg.NIC is set, a
 // private single-flow arbiter otherwise.
-func newOffloadEngine(client *remote.Client, depth, workers int, flow *netsim.Flow) *offloadEngine {
+func newOffloadEngine(client *remote.Client, depth int, flow *netsim.Flow) *offloadEngine {
 	if depth <= 0 {
 		depth = 8
 	}
 	e := &offloadEngine{
 		depth:   depth,
-		workers: workers,
+		encodeq: make(chan *stagedSegment, depth+2),
 		xferq:   make(chan *stagedSegment, depth+2),
 		// results is sized so the transfer goroutine never blocks sending:
 		// at most depth segments queue plus one in its hands.
 		results: make(chan *stagedSegment, depth+2),
 	}
-	if workers > 0 {
-		e.encodeq = make(chan *stagedSegment, depth+2)
-		e.encFree = make([]simclock.Time, workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				for st := range e.encodeq {
-					encodeStaged(st)
-					close(st.encoded)
-				}
-			}()
-		}
+	for range encodeWorkers {
+		go func() {
+			for st := range e.encodeq {
+				encodeStaged(st)
+				close(st.encoded)
+			}
+		}()
 	}
 	go func() {
 		var linkFree simclock.Time
 		for st := range e.xferq {
-			if st.encoded != nil {
-				<-st.encoded // codec worker done; blob and wire size final
-			}
+			<-st.encoded // codec worker done; blob and wire size final
 			start := simclock.Max(st.encDoneAt, linkFree)
 			st.svc, st.err = client.PushSegmentBlobTimed(st.blob, st.seg.LastSeq)
 			linkFree = flow.Grant(st.wire, start)
@@ -178,32 +184,16 @@ func encodeStaged(st *stagedSegment) {
 	st.pageBufs = nil
 }
 
-// linkRTT and linkMBps resolve the configured link model with its defaults.
-func (r *RSSD) linkRTT() simclock.Duration {
-	if r.cfg.OffloadLinkRTT > 0 {
-		return r.cfg.OffloadLinkRTT
-	}
-	return 30 * simclock.Microsecond
-}
-
-func (r *RSSD) linkMBps() float64 {
-	if r.cfg.OffloadLinkMBps > 0 {
-		return r.cfg.OffloadLinkMBps
-	}
-	return 1200
-}
-
 // offloadFlow lazily opens this device's offload-class flow on the NIC
 // arbiter. With cfg.NIC set the flow contends on the shared server NIC
-// under the QoS policy; nil builds a private single-flow arbiter from the
-// legacy OffloadLinkRTT/MBps model, which prices transfers bit-identically
-// to the old dedicated link (sole flow, full line). The flow spans engine
+// under the QoS policy; nil builds a private single-flow arbiter from
+// offloadLinkRTT/MBps (sole flow, full line). The flow spans engine
 // restarts and closes with the device.
 func (r *RSSD) offloadFlow() *netsim.Flow {
 	if r.nicFlow == nil {
 		nic := r.cfg.NIC
 		if nic == nil {
-			nic = netsim.New(netsim.Config{MBps: r.linkMBps(), RTT: r.linkRTT()})
+			nic = netsim.New(netsim.Config{MBps: offloadLinkMBps, RTT: offloadLinkRTT})
 		}
 		r.nicFlow = nic.Open(netsim.ClassOffload, 1)
 	}
@@ -217,7 +207,7 @@ func (r *RSSD) nicRTT() simclock.Duration {
 	if r.cfg.NIC != nil {
 		return r.cfg.NIC.RTT()
 	}
-	return r.linkRTT()
+	return offloadLinkRTT
 }
 
 // xferTime models one segment's NVMe-oE transfer on the offload link
@@ -235,12 +225,7 @@ func (r *RSSD) encodeDur(n int) simclock.Duration {
 // ensureEngine lazily starts the engine for the attached client.
 func (r *RSSD) ensureEngine() *offloadEngine {
 	if r.engine == nil {
-		workers := r.cfg.EncodeWorkers
-		if workers < 0 {
-			workers = 0 // inline encode at seal (the measured baseline)
-		}
-		r.engine = newOffloadEngine(r.client, r.cfg.OffloadQueueDepth, workers,
-			r.offloadFlow())
+		r.engine = newOffloadEngine(r.client, r.cfg.OffloadQueueDepth, r.offloadFlow())
 	}
 	return r.engine
 }
@@ -256,9 +241,7 @@ func (r *RSSD) stopEngine() {
 	for len(e.inFlight) > 0 {
 		r.applyResult(e.harvest())
 	}
-	if e.encodeq != nil {
-		close(e.encodeq)
-	}
+	close(e.encodeq)
 	close(e.xferq)
 	r.engine = nil
 }
@@ -343,26 +326,18 @@ func (r *RSSD) stage(batch []*retEntry, at simclock.Time) (simclock.Time, error)
 	}
 	dur := r.encodeDur(st.logical)
 	r.stats.EncodeTime += dur
-	if e.workers > 0 {
-		// Earliest-free simulated codec lane; the real workers race ahead
-		// or lag behind, but the schedule is fixed here, deterministically.
-		lane := 0
-		for i := 1; i < len(e.encFree); i++ {
-			if e.encFree[i] < e.encFree[lane] {
-				lane = i
-			}
+	// Earliest-free simulated codec lane; the real workers race ahead or
+	// lag behind, but the schedule is fixed here, deterministically.
+	lane := 0
+	for i := 1; i < len(e.encFree); i++ {
+		if e.encFree[i] < e.encFree[lane] {
+			lane = i
 		}
-		start := simclock.Max(st.sealedAt, e.encFree[lane])
-		st.encDoneAt = start.Add(dur)
-		e.encFree[lane] = st.encDoneAt
-		st.encoded = make(chan struct{})
-	} else {
-		// Inline baseline: the firmware goroutine compresses at seal time,
-		// so the host path pays the encode before it can continue.
-		encodeStaged(st)
-		st.encDoneAt = simclock.Max(st.sealedAt, at).Add(dur)
-		at = at.Add(dur)
 	}
+	start := simclock.Max(st.sealedAt, e.encFree[lane])
+	st.encDoneAt = start.Add(dur)
+	e.encFree[lane] = st.encDoneAt
+	st.encoded = make(chan struct{})
 	st.ackFloor = st.encDoneAt.Add(r.nicRTT())
 	// Backpressure: the bound is the firmware-side in-flight count, not
 	// the channel's instantaneous occupancy, so stalls depend only on
@@ -376,10 +351,8 @@ func (r *RSSD) stage(batch []*retEntry, at simclock.Time) (simclock.Time, error)
 		}
 		r.applyResult(res)
 	}
-	if e.workers > 0 {
-		e.encodeq <- st // never blocks: queue is sized past the depth bound
-	}
-	e.xferq <- st // never blocks: queue holds at most depth-1 entries here
+	e.encodeq <- st // never blocks: queue is sized past the depth bound
+	e.xferq <- st   // never blocks: queue holds at most depth-1 entries here
 	e.inFlight = append(e.inFlight, st)
 	e.pagesInFlight += len(st.batch)
 	if n := len(e.inFlight); n > r.stats.OffloadQueuePeak {
@@ -387,7 +360,7 @@ func (r *RSSD) stage(batch []*retEntry, at simclock.Time) (simclock.Time, error)
 	}
 	// Encode-stage occupancy: segments still on a simulated codec lane
 	// when this one was sealed. Peak > 1 is the overlap the worker pool
-	// buys; a persistently full encode stage means EncodeWorkers (or
+	// buys; a persistently full encode stage means encodeWorkers (or
 	// EncodeMBps) is the pipeline's bottleneck.
 	encQ := 0
 	for _, s := range e.inFlight {

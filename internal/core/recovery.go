@@ -8,8 +8,7 @@ package core
 //     the post-reboot log onto the remote chain head.
 //   - VersionBefore / ImageBefore answer point-in-time queries across the
 //     live mapping, local pins, and the remote store; the remote part of
-//     an image rides the chunked FetchImageStream, not the monolithic
-//     FetchImage (which survives only as a compatibility shim).
+//     an image rides the chunked FetchImageStream.
 //   - RestoreWrite / RestoreTrim are the logged primitives that roll a
 //     page back, stamping the evidence chain with recovery entries.
 //   - RestoreImage is the resumable restorer: it streams the image in
@@ -327,10 +326,10 @@ func (r *RSSD) ImageBefore(before uint64, at simclock.Time) ([][]byte, error) {
 		best[lpn] = r.localBest(lpn, before)
 	}
 	if r.client != nil {
-		_, err := r.client.FetchImageStream(0, before, r.cfg.RecoveryChunkPages,
-			func(pages []oplog.PageRecord, wire, logical int) error {
-				r.stats.RestoreBytesWire += uint64(wire)
-				r.stats.RestoreBytesLogical += uint64(logical)
+		_, err := r.client.FetchImageStream(0, before, 0, r.cfg.RecoveryChunkPages, nil,
+			func(pages []oplog.PageRecord, cs remote.ChunkStats) error {
+				r.stats.RestoreBytesWire += uint64(cs.WireBytes)
+				r.stats.RestoreBytesLogical += uint64(cs.LogicalBytes)
 				for i := range pages {
 					if lpn := pages[i].LPN; lpn < n {
 						best[lpn] = merge(best[lpn], &pages[i])
@@ -573,16 +572,7 @@ func (r *RSSD) RestoreImage(before uint64, opts RestoreOptions, at simclock.Time
 			}
 		}
 		if err == nil {
-			if opts.Dedup || anchor > 0 {
-				_, err = client.FetchImageDelta(cursor, before, anchor, opts.ChunkPages, cache, applyChunk)
-			} else {
-				_, err = client.FetchImageStream(cursor, before, opts.ChunkPages,
-					func(pages []oplog.PageRecord, wire, logical int) error {
-						return applyChunk(pages, remote.ChunkStats{
-							WireBytes: wire, LogicalBytes: logical, Literals: len(pages),
-						})
-					})
-			}
+			_, err = client.FetchImageStream(cursor, before, anchor, opts.ChunkPages, cache, applyChunk)
 			if err == nil {
 				client.Close()
 				break

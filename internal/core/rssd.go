@@ -66,27 +66,12 @@ type Config struct {
 	// I/O. It is the baseline the fleet experiment compares the
 	// asynchronous engine against.
 	SyncOffload bool
-	// OffloadLinkRTT and OffloadLinkMBps model the NVMe-oE link the
-	// offload engine owns: one segment transfer costs
-	// RTT + bytes/bandwidth of simulated time, serialized on the link.
-	// Defaults: 30µs, 1200 MB/s. Ignored when NIC is set.
-	OffloadLinkRTT  simclock.Duration
-	OffloadLinkMBps float64
 	// NIC, when set, is the shared server-NIC QoS arbiter this device's
 	// offload traffic is charged to (as one ClassOffload flow): transfers
 	// contend with fleet restore streams and lifecycle transfers under
-	// the arbiter's strict-priority + guaranteed-floor policy. nil keeps
-	// the legacy private link built from OffloadLinkRTT/MBps — a
-	// single-flow arbiter, so timing is bit-identical to the historical
-	// dedicated-link model.
+	// the arbiter's strict-priority + guaranteed-floor policy. nil gives
+	// the device a private single-flow link of 30µs RTT and 1200 MB/s.
 	NIC *netsim.Arbiter
-	// EncodeWorkers sizes the codec worker pool that compresses sealed
-	// segments off the firmware goroutine: seal hands raw segments to the
-	// workers, and the transfer goroutine ships encoded blobs in seal
-	// order. 0 selects the default (2). A negative value selects inline
-	// encoding at seal time on the firmware goroutine — the pre-pipeline
-	// baseline the datapath experiment measures the workers against.
-	EncodeWorkers int
 	// EncodeMBps models one codec worker's DEFLATE throughput in the
 	// simulated-time model (real encoding runs as fast as the CPU allows;
 	// this is what the honest accounting charges). Default 400 MB/s,
@@ -122,8 +107,6 @@ func DefaultConfig() Config {
 		ReadLogSampling:   1,
 		DropWhenOffline:   true,
 		OffloadQueueDepth: 8,
-		OffloadLinkRTT:    30 * simclock.Microsecond,
-		OffloadLinkMBps:   1200,
 	}
 }
 
@@ -164,9 +147,9 @@ type Stats struct {
 	OffloadTierTime simclock.Duration
 	// EncodeTime is the total simulated time the codec lanes spent
 	// compressing sealed segments. With encode workers it overlaps host
-	// I/O and the link; in the inline/sync baselines it rides the host
-	// path. EncodeQueuePeak is the deepest the encode stage ever got —
-	// segments still on a simulated codec lane when a new seal arrived.
+	// I/O and the link; in the sync baseline it rides the host path.
+	// EncodeQueuePeak is the deepest the encode stage ever got — segments
+	// still on a simulated codec lane when a new seal arrived.
 	EncodeTime      simclock.Duration
 	EncodeQueuePeak int
 	// OffloadStalls / OffloadStallTime count host stalls from staging-
@@ -302,9 +285,6 @@ func (cfg Config) normalize() Config {
 	}
 	if cfg.OffloadQueueDepth <= 0 {
 		cfg.OffloadQueueDepth = 8
-	}
-	if cfg.EncodeWorkers == 0 {
-		cfg.EncodeWorkers = 2
 	}
 	if cfg.EncodeMBps <= 0 {
 		cfg.EncodeMBps = 400

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ftl"
 	"repro/internal/nvmeoe"
@@ -188,13 +189,17 @@ func TestClusterKillRebalanceHandoffRace(t *testing.T) {
 	})
 
 	// push delivers one blob through the cluster, redialing around kills;
-	// Head() resync first, exactly like a device after session loss.
+	// Head() resync first, exactly like a device after session loss. A
+	// refused dial means a Kill is still draining the device's server, and
+	// that drain waits out in-flight ingest, so the retry sleeps instead
+	// of spinning: the attempt budget must cover the drain, not race the
+	// scheduler.
 	push := func(cl **remote.Client, dev uint64, blob []byte, lastSeq uint64) bool {
 		for attempt := 0; attempt < retryBudget; attempt++ {
 			if *cl == nil {
 				c, err := cluster.Dial(dev)
 				if err != nil {
-					runtime.Gosched()
+					time.Sleep(10 * time.Microsecond)
 					continue
 				}
 				*cl = c

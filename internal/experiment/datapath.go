@@ -15,7 +15,7 @@ import (
 )
 
 // The datapath experiment is the allocation-tracked hot-loop benchmark the
-// zero-allocation work is graded against. It does two things in one run:
+// zero-allocation work is graded against. It does three things in one run:
 //
 //  1. Micro loops, single-goroutine: the encode hot loop (segment marshal
 //     into a pooled buffer + codec framing into a pooled buffer) and the
@@ -27,24 +27,23 @@ import (
 //     store ingest, which retains pages and grows indexes by design, is
 //     reported honestly alongside.
 //
-//  2. Fleet replays, both pipeline variants in the same run: the
-//     encode-worker pipeline against the inline-encode baseline (the
-//     pre-pipeline behaviour, selected with Config.EncodeWorkers < 0).
-//     Wall-clock segs/sec and wire MB/s are what the worker pool must not
-//     regress; the simulated encode stage and ack latencies show where the
-//     overlap went.
+//  2. A fleet replay through the encode-worker pipeline. Wall-clock
+//     segs/sec and wire MB/s are what the worker pool must not regress;
+//     the simulated encode stage and ack latencies show where the overlap
+//     went.
+//
+//  3. The server-side saturated ingest run (see ingest.go).
 
 // DatapathVariantRow reports one fleet pass of the datapath replay.
 //
 // SimSegsPerSec — segments per simulated second of device time — is the
-// number the variants are graded on: it is what the device's modeled
-// hardware sustains, the claim the paper makes. Wall-clock throughput is
-// reported alongside but depends on how many host cores the simulation
-// happens to get (on a single-core runner the worker pipeline degenerates
-// to time-slicing and wall comparisons measure scheduler overhead, not the
-// datapath).
+// tracked number: it is what the device's modeled hardware sustains, the
+// claim the paper makes. Wall-clock throughput is reported alongside but
+// depends on how many host cores the simulation happens to get (on a
+// single-core runner the worker pipeline degenerates to time-slicing and
+// wall numbers measure scheduler overhead, not the datapath).
 type DatapathVariantRow struct {
-	Variant       string // "workers" or "inline"
+	Variant       string // "workers"
 	Devices       int
 	PageOps       int
 	Segments      uint64
@@ -175,9 +174,9 @@ func datapathAllocs(s Scale) []DatapathAllocRow {
 
 // datapathVariant runs one fleet pass (no attacks: pure datapath
 // throughput) and aggregates it.
-func datapathVariant(s Scale, devices int, name string, encodeWorkers int) (DatapathVariantRow, error) {
-	row := DatapathVariantRow{Variant: name, Devices: devices}
-	opts := fleetOpts{encodeWorkers: encodeWorkers, saturate: true, tune: remote.Profile("mem")}
+func datapathVariant(s Scale, devices int) (DatapathVariantRow, error) {
+	row := DatapathVariantRow{Variant: "workers", Devices: devices}
+	opts := fleetOpts{saturate: true, tune: remote.Profile("mem")}
 	start := time.Now()
 	pass, err := runFleetOn(s, devices, opts, remote.NewStore(remote.NewMemStore()))
 	if err != nil {
@@ -221,23 +220,19 @@ func datapathVariant(s Scale, devices int, name string, encodeWorkers int) (Data
 	return row, nil
 }
 
-// Datapath runs the allocation loops, both pipeline variants, and the
-// server-side saturated ingest run over ingestDevices sessions.
+// Datapath runs the allocation loops, the encode-worker fleet replay, and
+// the server-side saturated ingest run over ingestDevices sessions.
 func Datapath(s Scale, devices, ingestDevices int) (*DatapathResult, error) {
 	s = fleetScale(s)
 	res := &DatapathResult{}
 	// Alloc loops first: nothing else is running, so the allocator
 	// counters see only the measured loop.
 	res.Allocs = datapathAllocs(s)
-	workers, err := datapathVariant(s, devices, "workers", 0)
+	workers, err := datapathVariant(s, devices)
 	if err != nil {
 		return nil, fmt.Errorf("datapath workers: %w", err)
 	}
-	inline, err := datapathVariant(s, devices, "inline", -1)
-	if err != nil {
-		return nil, fmt.Errorf("datapath inline baseline: %w", err)
-	}
-	res.Variants = []DatapathVariantRow{workers, inline}
+	res.Variants = []DatapathVariantRow{workers}
 	res.Ingest, err = Ingest(s, ingestDevices)
 	if err != nil {
 		return nil, fmt.Errorf("datapath ingest: %w", err)
@@ -245,7 +240,7 @@ func Datapath(s Scale, devices, ingestDevices int) (*DatapathResult, error) {
 	return res, nil
 }
 
-// RenderDatapath renders the alloc table and the variant comparison.
+// RenderDatapath renders the alloc table and the fleet replay row.
 func RenderDatapath(res *DatapathResult) string {
 	at := metrics.NewTable("hot loop", "allocs/op", "bytes/op", "ops", "note")
 	for _, a := range res.Allocs {
@@ -260,14 +255,6 @@ func RenderDatapath(res *DatapathResult) string {
 			v.EncodeMs, v.EncodeQPk, v.Stalls)
 	}
 	out := at.String() + vt.String()
-	if len(res.Variants) == 2 {
-		w, i := res.Variants[0], res.Variants[1]
-		if i.SimSegsPerSec > 0 && i.MeanLatUs > 0 {
-			out += fmt.Sprintf(
-				"encode workers vs inline baseline (same run): %.3fx segs/s simulated, %.3fx host batch latency\n",
-				w.SimSegsPerSec/i.SimSegsPerSec, w.MeanLatUs/i.MeanLatUs)
-		}
-	}
 	if res.Ingest != nil {
 		out += RenderIngest(res.Ingest)
 	}

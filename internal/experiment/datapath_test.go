@@ -8,16 +8,16 @@ import (
 )
 
 // TestDatapathExperiment runs the CI-sized datapath benchmark end to end:
-// both pipeline variants must ship segments, and the codec hot loops must
-// be allocation-free in steady state — the acceptance bar for the pooled
-// datapath.
+// the encode-worker replay must ship segments, and the codec hot loops
+// must be allocation-free in steady state — the acceptance bar for the
+// pooled datapath.
 func TestDatapathExperiment(t *testing.T) {
 	res, err := Datapath(SmallScale(), 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Variants) != 2 {
-		t.Fatalf("want 2 variants, got %d", len(res.Variants))
+	if len(res.Variants) != 1 {
+		t.Fatalf("want 1 variant, got %d", len(res.Variants))
 	}
 	for _, v := range res.Variants {
 		if v.Segments == 0 || v.SegsPerSec <= 0 {

@@ -22,7 +22,7 @@ import (
 // wave that retires every page's first version into the remote store.
 // Then a pre-attack checkpoint, then a divergence phase that scrambles
 // ~30% of the image with device-private junk. Every device power-cycles
-// and restores the checkpointed image twice — once over the legacy
+// and restores the checkpointed image twice — once over the
 // full-image stream, which hauls the newest-before-cut version of every
 // LPN with remote history (the whole churned image), and once over the
 // content-addressed path, where the checkpoint anchor drops every LPN
@@ -146,7 +146,7 @@ func runDedupSetup(s Scale, srv *remote.Server, deviceID uint64, imagePages, uni
 
 	// Two write passes: v1 (the as-installed image) then v2 (an update
 	// wave, the pre-attack state). The overwrite retires every v1 page
-	// into the remote store, so the legacy full-image stream has a stale
+	// into the remote store, so the full-image stream has a stale
 	// version to haul for every LPN — the history a real device accretes
 	// and exactly what the checkpoint anchor exists to skip. Both passes
 	// draw from shared content spaces so dedup works across devices.
@@ -216,7 +216,7 @@ func runDedupCohort(s Scale, devices, imagePages, uniquePages int, dedup bool) (
 	co := DedupCohort{Dedup: dedup}
 	store := remote.NewStore(remote.NewMemStore())
 	srv := remote.NewServer(store, PSK)
-	link := remote.NewRecoveryLink(0, 0)
+	link := remote.NewRecoveryLink()
 
 	devs := make([]*dedupDevice, devices)
 	errs := make([]error, devices)

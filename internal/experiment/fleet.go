@@ -66,7 +66,7 @@ type FleetDeviceRow struct {
 	QueuePeak      int     // deepest staging-pipeline occupancy
 	Stalls         uint64  // host stalls from staging backpressure
 	WireBytes      uint64  // compressed bytes that crossed the offload link
-	EncodeMs       float64 // simulated codec-stage time (overlapped unless inline)
+	EncodeMs       float64 // simulated codec-stage time (overlapped with host I/O)
 	EncodeQPeak    int     // deepest encode-stage occupancy
 	Detected       bool
 	OpsToAlert     uint64
@@ -85,8 +85,8 @@ type FleetSummary struct {
 	PageOpsPerSec  float64 // fleet host throughput (wall clock)
 	SegmentsPerSec float64 // fleet ingest rate (wall clock)
 	MeanLatUs      float64 // mean host batch latency, async engine
-	SyncMeanLatUs  float64 // same fleet, SyncOffload baseline
-	OverlapSpeedup float64 // SyncMeanLatUs / MeanLatUs
+	SyncMeanLatUs  float64 `json:",omitempty"` // same fleet, SyncOffload baseline (absent when no sync pass ran)
+	OverlapSpeedup float64 `json:",omitempty"` // SyncMeanLatUs / MeanLatUs
 }
 
 // FleetResult is the full fleet report. Cluster is set only on
@@ -110,9 +110,8 @@ type fleetPass struct {
 
 // fleetOpts tunes one fleet pass.
 type fleetOpts struct {
-	syncOffload   bool
-	withAttacks   bool
-	encodeWorkers int // 0 = engine default, negative = inline-encode baseline
+	syncOffload bool
+	withAttacks bool
 	// saturate submits each replay record the instant the previous one
 	// completes instead of at its trace timestamp: the device-limited
 	// pace the datapath benchmark measures throughput at. Trace-paced
@@ -184,7 +183,7 @@ func runFleet(s Scale, devices int, syncOffload, withAttacks bool) (*fleetPass, 
 // benign trace and (when opts.withAttacks) its assigned ransomware
 // variant. The retention experiment reuses the same pass per backend tier
 // with that tier's watermark/queue profile; the datapath experiment reuses
-// it to compare encode-worker against inline-encode devices.
+// it for its saturated encode-worker replay.
 func runFleetOn(s Scale, devices int, opts fleetOpts, store *remote.Store) (*fleetPass, error) {
 	if devices <= 0 {
 		devices = 8
@@ -240,7 +239,6 @@ func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID
 	cfg.FTL = s.ftlConfig()
 	cfg.DeviceID = deviceID
 	cfg.SyncOffload = opts.syncOffload
-	cfg.EncodeWorkers = opts.encodeWorkers
 	// Fleet devices drain eagerly (the tier profile's watermarks sit well
 	// below the solo-device defaults): a device backing a shared server
 	// keeps its retention backlog small, which also keeps the offload

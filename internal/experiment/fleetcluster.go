@@ -213,6 +213,14 @@ func runFleetClusterPass(s Scale, devices, servers int) (*fleetPass, *FleetClust
 		engines[owner].Observe(dev, seg.Entries)
 	})
 
+	// Dial in device-ID order before any device runs: bounded-load
+	// placement is arrival-ordered, so concurrent first dials would let
+	// goroutine scheduling pick each device's server.
+	clients, err := dialInOrder(cluster, devices)
+	if err != nil {
+		return nil, nil, err
+	}
+
 	// The kill fires once every device has passed the one-third mark of
 	// its replay — genuinely mid-stream for the whole fleet — and every
 	// device holds at the barrier until the victim is drained, so the
@@ -268,7 +276,7 @@ func runFleetClusterPass(s Scale, devices, servers int) (*fleetPass, *FleetClust
 					third.Done()
 				}
 			}()
-			rows[i], devs[i], errs[i] = runFleetClusterDevice(s, cluster, engines, uint64(i+1), i, atk, hold, devices)
+			rows[i], devs[i], errs[i] = runFleetClusterDevice(s, cluster, clients[i], engines, uint64(i+1), i, atk, hold, devices)
 		}(i, atk)
 	}
 	wg.Wait()
@@ -346,17 +354,31 @@ func firstAttackedDevice(devices int) uint64 {
 	return 1
 }
 
-// runFleetClusterDevice is runFleetDevice's cluster twin: the device dials
-// through the placement-aware factory, holds at the kill barrier one third
-// of the way through its replay, and relies on core's redial path — not
-// the test harness — to heal the session a kill cut.
-func runFleetClusterDevice(s Scale, cluster *remote.Cluster, engines []*detect.Engine, deviceID uint64, idx int, atk attack.Attack, hold func(), devices int) (FleetDeviceRow, *core.RSSD, error) {
-	row := FleetDeviceRow{Device: deviceID}
-	client, err := cluster.Dial(deviceID)
-	if err != nil {
-		return row, nil, err
+// dialInOrder dials devices 1..n through the cluster one at a time, in
+// device-ID order, so placement is a function of the fleet alone. On a
+// failed dial it closes the sessions already open.
+func dialInOrder(cluster *remote.Cluster, n int) ([]*remote.Client, error) {
+	clients := make([]*remote.Client, n)
+	for d := range clients {
+		cl, err := cluster.Dial(uint64(d + 1))
+		if err != nil {
+			for _, c := range clients[:d] {
+				c.Close()
+			}
+			return nil, fmt.Errorf("dial device %d: %w", d+1, err)
+		}
+		clients[d] = cl
 	}
+	return clients, nil
+}
 
+// runFleetClusterDevice is runFleetDevice's cluster twin: the device starts
+// on client (from dialInOrder), redials through the placement-aware
+// factory, holds at the kill barrier one third of the way through its
+// replay, and relies on core's redial path — not the test harness — to
+// heal the session a kill cut.
+func runFleetClusterDevice(s Scale, cluster *remote.Cluster, client *remote.Client, engines []*detect.Engine, deviceID uint64, idx int, atk attack.Attack, hold func(), devices int) (FleetDeviceRow, *core.RSSD, error) {
+	row := FleetDeviceRow{Device: deviceID}
 	cfg := core.DefaultConfig()
 	cfg.FTL = s.ftlConfig()
 	cfg.DeviceID = deviceID
@@ -524,6 +546,11 @@ func fleetScaleCurve(s Scale, devices, servers int) ([]FleetScalePoint, error) {
 			Server:  remote.ServerConfig{DecodeWorkers: curveWorkers},
 		})
 
+		clients, err := dialInOrder(cluster, devices)
+		if err != nil {
+			cluster.Close()
+			return nil, fmt.Errorf("curve %d servers: %w", k, err)
+		}
 		errs := make([]error, devices)
 		var wg sync.WaitGroup
 		start := time.Now()
@@ -531,13 +558,8 @@ func fleetScaleCurve(s Scale, devices, servers int) ([]FleetScalePoint, error) {
 			wg.Add(1)
 			go func(d int) {
 				defer wg.Done()
-				cl, err := cluster.Dial(uint64(d + 1))
-				if err != nil {
-					errs[d] = err
-					return
-				}
-				defer cl.Close()
-				errs[d] = cl.PushSegmentBlobs(traces[d].blobs, traces[d].lastSeqs, window)
+				defer clients[d].Close()
+				errs[d] = clients[d].PushSegmentBlobs(traces[d].blobs, traces[d].lastSeqs, window)
 			}(d)
 		}
 		wg.Wait()

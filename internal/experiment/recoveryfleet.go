@@ -69,7 +69,6 @@ type RecoverySummary struct {
 	FalseAlerts    int
 	AllVerified    bool
 	ChainsVerified bool // every device's remote evidence chain verified end to end
-	Dedup          bool // restores ran the hash-ref + checkpoint-delta path
 
 	MeanRTOms    float64
 	MaxRTOms     float64
@@ -88,8 +87,8 @@ type RecoverySummary struct {
 	QoS      bool
 	NICStats [netsim.NumClasses]netsim.QoSStats
 
-	// Dedup ledger (zero on non-dedup runs): pages by wire form across the
-	// fleet, the derived hit rate, and the store-side content dedup.
+	// Dedup ledger: pages by wire form across the fleet, the derived hit
+	// rate, and the store-side content dedup.
 	LiteralPages     int
 	RefPages         int
 	DedupHitRate     float64 // refs / (refs + literals) on the restore wire
@@ -114,15 +113,15 @@ type recoveredDevice struct {
 	row   RecoveryDeviceRow
 }
 
-// FleetRecovery runs the fleet power-cycle recovery scenario. With dedup
-// set, restores ride the content-addressed path: hash-reference chunks
+// FleetRecovery runs the fleet power-cycle recovery scenario. Restores
+// ride the content-addressed path: hash-reference chunks
 // resolved from a device-side cache plus a checkpoint-anchored delta that
 // streams only pages touched since the pre-attack checkpoint. nicCfg
 // sizes the server's shared-NIC QoS arbiter, which both the restore
 // streams and the post-restore offload drain are charged to (zero value:
 // netsim defaults — strict priority, standard floors; FIFO true runs the
 // classless baseline).
-func FleetRecovery(s Scale, devices int, dedup bool, nicCfg netsim.Config) (*RecoveryFleetResult, error) {
+func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetResult, error) {
 	if devices <= 0 {
 		devices = 8
 	}
@@ -193,7 +192,7 @@ func FleetRecovery(s Scale, devices int, dedup bool, nicCfg netsim.Config) (*Rec
 		go func(i int) {
 			defer wg.Done()
 			defer gateOnce[i].Do(restoreGate.Done)
-			errs[i] = runRecoveryRestore(srv, link, devs[i], uint64(i+1), i == chokeIdx, dedup, func() {
+			errs[i] = runRecoveryRestore(srv, link, devs[i], uint64(i+1), i == chokeIdx, func() {
 				gateOnce[i].Do(restoreGate.Done)
 				restoreGate.Wait()
 			})
@@ -229,8 +228,8 @@ func FleetRecovery(s Scale, devices int, dedup bool, nicCfg netsim.Config) (*Rec
 	rows := make([]RecoveryDeviceRow, devices)
 	sum := RecoverySummary{
 		Devices: devices, AllVerified: true, PeakSessions: link.PeakSessions(),
-		ChainsVerified: chainsOK, Dedup: dedup,
-		QoS: !nic.FIFO(), NICStats: nic.Stats(),
+		ChainsVerified: chainsOK,
+		QoS:            !nic.FIFO(), NICStats: nic.Stats(),
 	}
 	var totalRTO, maxRTO simclock.Duration
 	var logicalBytes uint64
@@ -393,10 +392,10 @@ func runRecoverySetup(s Scale, srv *remote.Server, engine *detect.Engine, device
 // flash, stream-restore the pre-attack image (resuming through a cut link
 // when choked), verify page-identical, then drain the restore backlog
 // across a simulated offload outage via the redial path.
-func runRecoveryRestore(srv *remote.Server, link *remote.RecoveryLink, d *recoveredDevice, deviceID uint64, choke, dedup bool, gate func()) error {
+func runRecoveryRestore(srv *remote.Server, link *remote.RecoveryLink, d *recoveredDevice, deviceID uint64, choke bool, gate func()) error {
 	rd, err := restoreRun{
 		Server: srv, Link: link, ChunkPages: 16,
-		Dedup: dedup, Delta: dedup, Choke: choke, Gate: gate,
+		Dedup: true, Delta: true, Choke: choke, Gate: gate,
 	}.run(d.cfg, d.nand, deviceID, d.cut, d.want, d.endAt)
 	if err != nil {
 		return err
@@ -415,7 +414,7 @@ func runRecoveryRestore(srv *remote.Server, link *remote.RecoveryLink, d *recove
 	d.row.LiteralPages = rep.PagesLiteral
 	d.row.RefPages = rep.PagesRef
 	d.row.AnchorSeq = rep.Anchor
-	if dedup && rep.Anchor == 0 {
+	if rep.Anchor == 0 {
 		return fmt.Errorf("dedup restore found no checkpoint anchor")
 	}
 	d.row.Verified = rd.verified
@@ -477,12 +476,10 @@ func RenderFleetRecovery(res *RecoveryFleetResult) string {
 		s.MeanRTOms, s.MaxRTOms, s.RestoreGBps, s.PeakSessions,
 		s.WireMiB, s.LogicalMiB, s.WireRatio, s.Resumes,
 		s.TotalRedials, s.MaxDrainMs)
-	if s.Dedup {
-		out += fmt.Sprintf(
-			"          dedup: %d literal + %d ref pages (%.0f%% wire hit rate), store %d unique / %d refs (%.0f%% content dedup)\n",
-			s.LiteralPages, s.RefPages, s.DedupHitRate*100,
-			s.StoreUniquePages, s.StoreTotalRefs, s.StoreHitRate*100)
-	}
+	out += fmt.Sprintf(
+		"          dedup: %d literal + %d ref pages (%.0f%% wire hit rate), store %d unique / %d refs (%.0f%% content dedup)\n",
+		s.LiteralPages, s.RefPages, s.DedupHitRate*100,
+		s.StoreUniquePages, s.StoreTotalRefs, s.StoreHitRate*100)
 	mode := "strict-priority qos"
 	if !s.QoS {
 		mode = "fifo baseline"

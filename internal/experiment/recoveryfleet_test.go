@@ -6,11 +6,13 @@ import (
 	"repro/internal/netsim"
 )
 
-// TestFleetRecoveryScenario is the CI-sized fleet power-cycle recovery
-// run: 2 devices (one attacked), concurrent restore, one deliberately cut
-// recovery link, verified rollback, and an outage-drain with redial.
-func TestFleetRecoveryScenario(t *testing.T) {
-	res, err := FleetRecovery(SmallScale(), 2, false, netsim.Config{})
+// TestFleetRecoveryDedup is the CI-sized fleet power-cycle recovery run
+// over the content-addressed restore path: 2 devices (one attacked),
+// concurrent restore with hash-reference chunks, resolve cache and
+// checkpoint-anchored delta, one deliberately cut recovery link, verified
+// rollback, and an outage-drain with redial.
+func TestFleetRecoveryDedup(t *testing.T) {
+	res, err := FleetRecovery(SmallScale(), 2, netsim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +27,13 @@ func TestFleetRecoveryScenario(t *testing.T) {
 		t.Fatalf("false alerts: %d", s.FalseAlerts)
 	}
 	if !s.AllVerified {
-		t.Fatal("restored images not page-identical to the pre-attack state")
+		t.Fatal("dedup-restored images not page-identical to the pre-attack state")
+	}
+	if !s.ChainsVerified {
+		t.Fatal("evidence chains failed verification after dedup restore")
 	}
 	if s.Resumes == 0 {
-		t.Fatal("the choked device never resumed a cut stream")
+		t.Fatal("the choked device never resumed a cut dedup stream")
 	}
 	if s.MaxRTOms <= 0 || s.RestoreGBps <= 0 {
 		t.Fatalf("implausible restore timing: %+v", s)
@@ -48,38 +53,6 @@ func TestFleetRecoveryScenario(t *testing.T) {
 	if s.NICStats[netsim.ClassRestore].Grants == 0 || s.NICStats[netsim.ClassOffload].Grants == 0 {
 		t.Fatalf("shared NIC ledger missing a traffic class: %+v", s.NICStats)
 	}
-	for _, r := range res.Rows {
-		if r.SnapshotPages == 0 || !r.Verified {
-			t.Fatalf("device %d: %+v", r.Device, r)
-		}
-		if r.RestoredPages == 0 {
-			t.Fatalf("device %d restored nothing (no rollback work): %+v", r.Device, r)
-		}
-	}
-}
-
-// TestFleetRecoveryDedup runs the same scenario over the content-addressed
-// restore path: hash-reference chunks, resolve cache, checkpoint-anchored
-// delta — through the same choked-link resume and outage drain, with the
-// same page-identical verification.
-func TestFleetRecoveryDedup(t *testing.T) {
-	res, err := FleetRecovery(SmallScale(), 2, true, netsim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Summary
-	if !s.Dedup {
-		t.Fatal("summary does not record dedup mode")
-	}
-	if !s.AllVerified {
-		t.Fatal("dedup-restored images not page-identical to the pre-attack state")
-	}
-	if !s.ChainsVerified {
-		t.Fatal("evidence chains failed verification after dedup restore")
-	}
-	if s.Resumes == 0 {
-		t.Fatal("the choked device never resumed a cut dedup stream")
-	}
 	if s.LiteralPages == 0 {
 		t.Fatal("dedup stream carried no literal pages")
 	}
@@ -87,8 +60,11 @@ func TestFleetRecoveryDedup(t *testing.T) {
 		if r.AnchorSeq == 0 {
 			t.Fatalf("device %d restored without a checkpoint anchor: %+v", r.Device, r)
 		}
-		if !r.Verified {
-			t.Fatalf("device %d not verified: %+v", r.Device, r)
+		if r.SnapshotPages == 0 || !r.Verified {
+			t.Fatalf("device %d: %+v", r.Device, r)
+		}
+		if r.RestoredPages == 0 {
+			t.Fatalf("device %d restored nothing (no rollback work): %+v", r.Device, r)
 		}
 	}
 }

@@ -725,7 +725,7 @@ func soakRestoreLink(cluster *remote.Cluster, id uint64) *remote.RecoveryLink {
 			return remote.NewRecoveryLinkOn(srv.NIC)
 		}
 	}
-	return remote.NewRecoveryLink(0, 0)
+	return remote.NewRecoveryLink()
 }
 
 // soakRetentionTick is the minimal retention pass: for each device,

@@ -225,16 +225,11 @@ func (f *Flow) GrantDur(bytes int) simclock.Duration {
 	return f.a.grant(f.c, f.w, bytes, 0, false)
 }
 
-// GrantClass prices one transfer for an equal-weight session of class c
-// without a Flow handle — the RecoveryLink delegation path, where Open
-// and pricing are decoupled. A class with no open flows is priced as a
-// single solo session (the legacy share-clamped-to-1 behavior).
-func (a *Arbiter) GrantClass(c Class, bytes int) simclock.Duration {
-	return a.grant(c, 0, bytes, 0, false)
-}
-
-// GrantClassAt is GrantClass anchored at `now`, so the grant contributes
-// to the class's conservation span.
+// GrantClassAt prices one transfer starting at `now` for an equal-weight
+// session of class c without a Flow handle — the RecoveryLink path, where
+// Open and pricing are decoupled. A class with no open flows is priced as
+// a single solo session. The grant contributes to the class's
+// conservation span.
 func (a *Arbiter) GrantClassAt(c Class, bytes int, now simclock.Time) simclock.Duration {
 	return a.grant(c, 0, bytes, now, true)
 }
@@ -270,8 +265,8 @@ func (a *Arbiter) grant(c Class, flowWeight float64, bytes int, now simclock.Tim
 		alloc = a.mbps * minAllocFrac
 	}
 	// Keep the multiplication order of the legacy link models so an
-	// uncontended grant is bit-identical to what RecoveryLink.ChunkTime
-	// and the engine's xferDur used to charge.
+	// uncontended grant is bit-identical to what the recovery link and
+	// the engine's xferDur used to charge.
 	dur := a.rtt + simclock.Duration(float64(bytes)*share/(alloc*1e6)*float64(simclock.Second))
 
 	led := &a.led[c]

@@ -9,7 +9,7 @@ import (
 )
 
 // TestLegacyEquivalence: an uncontended grant must be bit-identical to
-// the legacy link formulas this arbiter replaced — RecoveryLink.ChunkTime
+// the legacy link formulas this arbiter replaced — RecoveryLink.ChunkTimeAt
 // (share in the numerator) and the engine's xferDur (share 1) — so the
 // delegation shims cannot drift.
 func TestLegacyEquivalence(t *testing.T) {
@@ -19,13 +19,13 @@ func TestLegacyEquivalence(t *testing.T) {
 		return simclock.Microsecond +
 			simclock.Duration(float64(bytes)*float64(share)/(1000*1e6)*float64(simclock.Second))
 	}
-	if got := a.GrantClass(ClassRestore, bytes); got != legacy(1) {
+	if got := a.GrantClassAt(ClassRestore, bytes, 0); got != legacy(1) {
 		t.Fatalf("solo class grant = %v, want %v", got, legacy(1))
 	}
 	f1 := a.Open(ClassRestore, 1)
 	f2 := a.Open(ClassRestore, 1)
 	f3 := a.Open(ClassRestore, 1)
-	if got := a.GrantClass(ClassRestore, bytes); got != legacy(3) {
+	if got := a.GrantClassAt(ClassRestore, bytes, 0); got != legacy(3) {
 		t.Fatalf("3-way class grant = %v, want %v", got, legacy(3))
 	}
 	if got := f1.GrantDur(bytes); got != legacy(3) {

@@ -2,6 +2,7 @@ package nvmeoe
 
 import (
 	"bytes"
+	"crypto/rand"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -9,7 +10,7 @@ import (
 
 // TestAppendCodecMatchesAllocatingAPI pins the append-style entry points to
 // the allocating ones: same bytes on the wire, same decode, including the
-// legacy passthrough (which Append must copy, never alias).
+// stored codec (which Append must copy, never alias).
 func TestAppendCodecMatchesAllocatingAPI(t *testing.T) {
 	raw := testSegment(t, make([]byte, 8192)).Marshal()
 	want := EncodeSegmentBlob(raw)
@@ -27,12 +28,19 @@ func TestAppendCodecMatchesAllocatingAPI(t *testing.T) {
 	if err != nil || !bytes.Equal(dec, raw) {
 		t.Fatalf("AppendDecodeSegmentBlob: %v", err)
 	}
-	// Legacy bare marshal: decoded copy, not an alias.
-	legacy, err := AppendDecodeSegmentBlob(nil, raw)
-	if err != nil || !bytes.Equal(legacy, raw) {
-		t.Fatalf("legacy decode: %v", err)
+	// Stored blob: decoded copy, not an alias of the body.
+	noise := make([]byte, 8192)
+	rand.Read(noise)
+	storedRaw := testSegment(t, noise).Marshal()
+	stored := EncodeSegmentBlob(storedRaw)
+	if Codec(stored[4]) != CodecStored {
+		t.Fatalf("incompressible blob picked %v, want stored", Codec(stored[4]))
 	}
-	if len(legacy) > 0 && &legacy[0] == &raw[0] {
+	dec, err = AppendDecodeSegmentBlob(nil, stored)
+	if err != nil || !bytes.Equal(dec, storedRaw) {
+		t.Fatalf("stored decode: %v", err)
+	}
+	if &dec[0] == &stored[BlobOverhead] {
 		t.Fatal("AppendDecodeSegmentBlob aliased its input")
 	}
 }

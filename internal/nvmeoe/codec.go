@@ -17,18 +17,15 @@ import (
 // Segment blobs — the unit the offload engine ships and the remote store
 // persists — carry their own codec header, so the same encoded bytes travel
 // the NVMe-oE wire and land in the object store unchanged: compressed on
-// the wire IS compressed at rest, and the server never re-compresses. The
-// header also versions the encoding: blobs written before this format (a
-// bare oplog segment marshal) carry no header and decode as CodecNone.
+// the wire IS compressed at rest, and the server never re-compresses.
+// Decode accepts exactly this format: bytes without the header are
+// rejected with ErrBadBlob.
 
 // Codec identifies how a segment blob's payload is encoded.
 type Codec uint8
 
 // Segment-blob codecs.
 const (
-	// CodecNone stores the segment marshal verbatim. Written by encoders
-	// that predate CodecStored; still decoded, no longer produced.
-	CodecNone Codec = 0
 	// CodecDeflate stores the segment marshal DEFLATE-compressed.
 	CodecDeflate Codec = 1
 	// CodecStored stores the segment marshal verbatim: the stored-block
@@ -41,8 +38,6 @@ const (
 
 func (c Codec) String() string {
 	switch c {
-	case CodecNone:
-		return "none"
 	case CodecDeflate:
 		return "deflate"
 	case CodecStored:
@@ -105,16 +100,11 @@ func AppendSegmentBlob(dst, raw []byte) []byte {
 }
 
 // DecodeSegmentBlob returns the marshaled segment inside blob, inflating
-// when the codec header says so. Blobs without a codec header — segments
-// persisted before the compressed wire format — are returned verbatim, so
-// old stores keep reloading. The CodecNone and legacy paths alias blob
-// rather than copying; use AppendDecodeSegmentBlob when the result must
-// land in a caller-owned (pooled) buffer.
+// when the codec header says so. A stored body is returned aliasing blob;
+// use AppendDecodeSegmentBlob when the result must land in a caller-owned
+// (pooled) buffer.
 func DecodeSegmentBlob(blob []byte) ([]byte, error) {
-	if !IsSegmentBlob(blob) {
-		return blob, nil
-	}
-	if c := Codec(blob[4]); c == CodecNone || c == CodecStored {
+	if IsSegmentBlob(blob) && Codec(blob[4]) == CodecStored {
 		body := blob[blobHeaderSize:]
 		if rawLen := binary.LittleEndian.Uint32(blob[5:]); uint32(len(body)) != rawLen {
 			return nil, fmt.Errorf("%w: raw length %d, header says %d", ErrBadBlob, len(body), rawLen)
@@ -125,19 +115,19 @@ func DecodeSegmentBlob(blob []byte) ([]byte, error) {
 }
 
 // AppendDecodeSegmentBlob is DecodeSegmentBlob into a caller-provided
-// buffer: the decoded marshal is appended to dst (always copied, even on
-// the passthrough paths, so the result never aliases blob). The ingest hot
-// loop decodes through it with a pooled dst sized by
-// SegmentBlobLogicalSize; with sufficient capacity it allocates nothing.
+// buffer: the decoded marshal is appended to dst (always copied, so the
+// result never aliases blob). The ingest hot loop decodes through it with a
+// pooled dst sized by SegmentBlobLogicalSize; with sufficient capacity it
+// allocates nothing.
 func AppendDecodeSegmentBlob(dst, blob []byte) ([]byte, error) {
 	if !IsSegmentBlob(blob) {
-		return append(dst, blob...), nil
+		return nil, fmt.Errorf("%w: no codec header", ErrBadBlob)
 	}
 	codec := Codec(blob[4])
 	rawLen := binary.LittleEndian.Uint32(blob[5:])
 	body := blob[blobHeaderSize:]
 	switch codec {
-	case CodecNone, CodecStored:
+	case CodecStored:
 		if uint32(len(body)) != rawLen {
 			return nil, fmt.Errorf("%w: raw length %d, header says %d", ErrBadBlob, len(body), rawLen)
 		}
@@ -169,11 +159,11 @@ func AppendDecodeSegmentBlob(dst, blob []byte) ([]byte, error) {
 }
 
 // SegmentBlobLogicalSize returns the decoded (logical) size of a segment
-// blob without inflating it: the codec header records it, and a legacy
-// blob is its own decoding.
+// blob without inflating it: the codec header records it. Bytes that will
+// not decode — no header, or a claim past the frame bound — size as 0.
 func SegmentBlobLogicalSize(blob []byte) int {
 	if !IsSegmentBlob(blob) {
-		return len(blob)
+		return 0
 	}
 	n := int(binary.LittleEndian.Uint32(blob[5:]))
 	if n > MaxPayload {
@@ -185,9 +175,8 @@ func SegmentBlobLogicalSize(blob []byte) int {
 	return n
 }
 
-// IsSegmentBlob reports whether b carries the codec frame header. The
-// check is unambiguous against legacy blobs: a bare segment marshal starts
-// with the oplog segment magic, not blobMagic.
+// IsSegmentBlob reports whether b carries the codec frame header. A bare
+// segment marshal starts with the oplog segment magic, not blobMagic.
 func IsSegmentBlob(b []byte) bool {
 	return len(b) >= blobHeaderSize && binary.LittleEndian.Uint32(b) == blobMagic
 }

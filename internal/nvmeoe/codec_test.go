@@ -93,50 +93,27 @@ func TestSegmentBlobStoredThreshold(t *testing.T) {
 	}
 }
 
-// TestDecodeSegmentBlobCodecNoneCompat: stores written before CodecStored
-// carry CodecNone frames; both decode entry points must keep reading them.
-func TestDecodeSegmentBlobCodecNoneCompat(t *testing.T) {
-	raw := testSegment(t, []byte("pre-stored era page")).Marshal()
-	blob := make([]byte, 0, BlobOverhead+len(raw))
-	blob = append(blob, 0x52, 0x53, 0x53, 0x43) // blobMagic, little-endian
-	blob = append(blob, byte(CodecNone))
-	blob = append(blob, byte(len(raw)), byte(len(raw)>>8), byte(len(raw)>>16), byte(len(raw)>>24))
-	blob = append(blob, raw...)
-	if !IsSegmentBlob(blob) {
-		t.Fatal("hand-built CodecNone blob not recognized")
-	}
-	got, err := DecodeSegmentBlob(blob)
-	if err != nil || !bytes.Equal(got, raw) {
-		t.Fatalf("CodecNone decode: %v", err)
-	}
-	app, err := AppendDecodeSegmentBlob(nil, blob)
-	if err != nil || !bytes.Equal(app, raw) {
-		t.Fatalf("CodecNone append decode: %v", err)
-	}
-	if SegmentBlobLogicalSize(blob) != len(raw) {
-		t.Fatalf("logical size %d, want %d", SegmentBlobLogicalSize(blob), len(raw))
-	}
-}
-
-func TestDecodeSegmentBlobLegacyPassthrough(t *testing.T) {
-	// A pre-codec store holds bare segment marshals; they must decode as-is.
-	raw := testSegment(t, []byte("legacy page")).Marshal()
-	got, err := DecodeSegmentBlob(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, raw) {
-		t.Fatal("legacy blob modified by decode")
-	}
-}
-
 func TestDecodeSegmentBlobCorrupt(t *testing.T) {
-	blob := EncodeSegmentBlob(testSegment(t, make([]byte, 4096)).Marshal())
-	// Unknown codec.
+	raw := testSegment(t, make([]byte, 4096)).Marshal()
+	blob := EncodeSegmentBlob(raw)
+	// Headerless bytes (a bare segment marshal): both decode entry points
+	// reject them, and they size as nothing.
+	if _, err := DecodeSegmentBlob(raw); !errors.Is(err, ErrBadBlob) {
+		t.Fatalf("bare marshal err = %v", err)
+	}
+	if _, err := AppendDecodeSegmentBlob(nil, raw); !errors.Is(err, ErrBadBlob) {
+		t.Fatalf("bare marshal append err = %v", err)
+	}
+	if n := SegmentBlobLogicalSize(raw); n != 0 {
+		t.Fatalf("bare marshal logical size %d, want 0", n)
+	}
+	// Unknown codec, including 0 (the retired verbatim codec).
 	bad := append([]byte(nil), blob...)
-	bad[4] = 0x7F
-	if _, err := DecodeSegmentBlob(bad); !errors.Is(err, ErrBadBlob) {
-		t.Fatalf("unknown codec err = %v", err)
+	for _, c := range []byte{0x7F, 0} {
+		bad[4] = c
+		if _, err := DecodeSegmentBlob(bad); !errors.Is(err, ErrBadBlob) {
+			t.Fatalf("codec %d err = %v", c, err)
+		}
 	}
 	// Truncated compressed body.
 	if _, err := DecodeSegmentBlob(blob[:len(blob)-4]); !errors.Is(err, ErrBadBlob) {

@@ -19,9 +19,7 @@ const (
 	// FetchVersion requests the newest retained version of LPN written
 	// before sequence Before.
 	FetchVersion
-	// FetchImage requests, for every LPN, the newest retained version
-	// written before sequence Before (a full point-in-time image).
-	FetchImage
+	_ // 3: retired
 	// FetchCheckpoint requests the newest mapping checkpoint with
 	// Seq <= Before.
 	FetchCheckpoint
@@ -41,7 +39,7 @@ const (
 )
 
 // FetchReq is a retrieval request issued during recovery or forensics.
-// For the image kinds (FetchImage, FetchImageStream, FetchRange) From/To
+// For the image kinds (FetchImageStream, FetchRange) From/To
 // bound logical page numbers rather than log sequences.
 type FetchReq struct {
 	Kind       FetchKind
@@ -94,13 +92,9 @@ func ChunkPagesForQuantum(pageSize int) uint32 {
 // ErrBadMessage reports a payload that does not decode.
 var ErrBadMessage = errors.New("nvmeoe: malformed message payload")
 
-// fetch req sizes: the legacy encoding predates ChunkPages, the streaming
-// encoding predates Anchor/Flags; all three decode.
-const (
-	fetchReqSizeLegacy = 1 + 4*8
-	fetchReqSizeStream = fetchReqSizeLegacy + 4
-	fetchReqSize       = fetchReqSizeStream + 8 + 1
-)
+// fetchReqSize is the one FetchReq encoding: kind, four uint64s,
+// ChunkPages, Anchor, Flags.
+const fetchReqSize = 1 + 4*8 + 4 + 8 + 1
 
 // Marshal encodes the request.
 func (r *FetchReq) Marshal() []byte {
@@ -116,29 +110,21 @@ func (r *FetchReq) Marshal() []byte {
 	return b
 }
 
-// UnmarshalFetchReq decodes a request. Requests from pre-streaming devices
-// lack the ChunkPages field and decode with ChunkPages zero; pre-dedup
-// requests lack Anchor/Flags and decode with both zero (full literal
-// stream — the legacy behavior).
+// UnmarshalFetchReq decodes a request.
 func UnmarshalFetchReq(b []byte) (FetchReq, error) {
-	if len(b) != fetchReqSize && len(b) != fetchReqSizeStream && len(b) != fetchReqSizeLegacy {
+	if len(b) != fetchReqSize {
 		return FetchReq{}, fmt.Errorf("%w: fetch req size %d", ErrBadMessage, len(b))
 	}
-	r := FetchReq{
-		Kind:   FetchKind(b[0]),
-		LPN:    binary.LittleEndian.Uint64(b[1:]),
-		From:   binary.LittleEndian.Uint64(b[9:]),
-		To:     binary.LittleEndian.Uint64(b[17:]),
-		Before: binary.LittleEndian.Uint64(b[25:]),
-	}
-	if len(b) >= fetchReqSizeStream {
-		r.ChunkPages = binary.LittleEndian.Uint32(b[33:])
-	}
-	if len(b) == fetchReqSize {
-		r.Anchor = binary.LittleEndian.Uint64(b[37:])
-		r.Flags = b[45]
-	}
-	return r, nil
+	return FetchReq{
+		Kind:       FetchKind(b[0]),
+		LPN:        binary.LittleEndian.Uint64(b[1:]),
+		From:       binary.LittleEndian.Uint64(b[9:]),
+		To:         binary.LittleEndian.Uint64(b[17:]),
+		Before:     binary.LittleEndian.Uint64(b[25:]),
+		ChunkPages: binary.LittleEndian.Uint32(b[33:]),
+		Anchor:     binary.LittleEndian.Uint64(b[37:]),
+		Flags:      b[45],
+	}, nil
 }
 
 // StreamEnd terminates a FetchImageStream reply: how much the stream
@@ -184,11 +170,7 @@ type Ack struct {
 	SvcNs uint64
 }
 
-// ack sizes: the legacy encoding predates SvcNs; both decode.
-const (
-	ackSizeLegacy = 8
-	ackSize       = 16
-)
+const ackSize = 16
 
 // Marshal encodes the ack.
 func (a *Ack) Marshal() []byte {
@@ -197,17 +179,12 @@ func (a *Ack) Marshal() []byte {
 	return binary.LittleEndian.AppendUint64(b, a.SvcNs)
 }
 
-// UnmarshalAck decodes an ack. Acks from pre-tier-latency servers lack the
-// SvcNs field and decode with a zero service time.
+// UnmarshalAck decodes an ack.
 func UnmarshalAck(b []byte) (Ack, error) {
-	if len(b) != ackSize && len(b) != ackSizeLegacy {
+	if len(b) != ackSize {
 		return Ack{}, fmt.Errorf("%w: ack size %d", ErrBadMessage, len(b))
 	}
-	a := Ack{UpTo: binary.LittleEndian.Uint64(b)}
-	if len(b) == ackSize {
-		a.SvcNs = binary.LittleEndian.Uint64(b[8:])
-	}
-	return a, nil
+	return Ack{UpTo: binary.LittleEndian.Uint64(b), SvcNs: binary.LittleEndian.Uint64(b[8:])}, nil
 }
 
 // Checkpoint carries a serialized mapping snapshot: the L2P table at a

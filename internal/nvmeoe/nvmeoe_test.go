@@ -288,26 +288,20 @@ func TestSegmentOverWire(t *testing.T) {
 
 func TestFetchReqRoundTrip(t *testing.T) {
 	r := FetchReq{Kind: FetchVersion, LPN: 5, From: 1, To: 2, Before: 99, ChunkPages: 64}
-	got, err := UnmarshalFetchReq(r.Marshal())
+	b := r.Marshal()
+	if len(b) != 46 {
+		t.Fatalf("fetch req is %d bytes on the wire, want 46", len(b))
+	}
+	got, err := UnmarshalFetchReq(b)
 	if err != nil || got != r {
 		t.Fatalf("round trip: %+v %v", got, err)
 	}
-	if _, err := UnmarshalFetchReq([]byte{1, 2}); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("short req err = %v", err)
-	}
-}
-
-// TestFetchReqLegacyDecodes: requests from pre-streaming devices lack the
-// ChunkPages field and must still decode (with ChunkPages zero).
-func TestFetchReqLegacyDecodes(t *testing.T) {
-	r := FetchReq{Kind: FetchImage, Before: 7}
-	legacy := r.Marshal()[:fetchReqSizeLegacy]
-	got, err := UnmarshalFetchReq(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != FetchImage || got.Before != 7 || got.ChunkPages != 0 {
-		t.Fatalf("legacy decode: %+v", got)
+	// Every other size is rejected, including the 33- and 37-byte
+	// encodings that predate ChunkPages and Anchor/Flags.
+	for _, bad := range [][]byte{{1, 2}, b[:33], b[:37], append(b, 0)} {
+		if _, err := UnmarshalFetchReq(bad); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("%d-byte req err = %v", len(bad), err)
+		}
 	}
 }
 
@@ -395,20 +389,21 @@ func TestTransportRoundTripProperty(t *testing.T) {
 }
 
 func TestAckServiceTimeRoundTripAndLegacy(t *testing.T) {
-	// New acks carry the tier's modeled Put service time.
+	// Acks carry the tier's modeled Put service time.
 	a := Ack{UpTo: 42, SvcNs: 18_000_000}
-	got, err := UnmarshalAck(a.Marshal())
+	b := a.Marshal()
+	if len(b) != 16 {
+		t.Fatalf("ack is %d bytes on the wire, want 16", len(b))
+	}
+	got, err := UnmarshalAck(b)
 	if err != nil || got != a {
 		t.Fatalf("ack roundtrip = %+v, %v", got, err)
 	}
-	// Acks from pre-tier-latency servers are 8 bytes and decode with a
-	// zero service time — devices keep working against old servers.
-	legacy := a.Marshal()[:8]
-	got, err = UnmarshalAck(legacy)
-	if err != nil || got.UpTo != 42 || got.SvcNs != 0 {
-		t.Fatalf("legacy ack = %+v, %v", got, err)
-	}
-	if _, err := UnmarshalAck(a.Marshal()[:5]); err == nil {
-		t.Fatal("truncated ack decoded")
+	// Every other size is rejected, including the 8-byte encoding that
+	// predates SvcNs.
+	for _, bad := range [][]byte{b[:5], b[:8], append(b, 0)} {
+		if _, err := UnmarshalAck(bad); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("%d-byte ack err = %v", len(bad), err)
+		}
 	}
 }

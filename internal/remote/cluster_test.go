@@ -244,7 +244,7 @@ func TestServerCloseDrainsDecodeLane(t *testing.T) {
 
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
-	srv.Config = ServerConfig{DecodeWorkers: 3, DecodeQueueDepth: 64}
+	srv.Config = ServerConfig{DecodeWorkers: 3}
 
 	var wg, accepted sync.WaitGroup
 	for d := 0; d < devices; d++ {

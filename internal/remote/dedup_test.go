@@ -69,7 +69,7 @@ func TestMixedLegacyDedupRestore(t *testing.T) {
 		if dedup {
 			cache = NewResolveCache()
 		}
-		_, err := cl.FetchImageDelta(from, 100, 0, 8, cache, func(ps []oplog.PageRecord, cs ChunkStats) error {
+		_, err := cl.FetchImageStream(from, 100, 0, 8, cache, func(ps []oplog.PageRecord, cs ChunkStats) error {
 			for _, p := range ps {
 				p.Data = append([]byte(nil), p.Data...)
 				pages = append(pages, p)

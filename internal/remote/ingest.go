@@ -25,19 +25,18 @@ import (
 // first connection; the lane is sized lazily when the first session needs
 // it.
 type ServerConfig struct {
-	// DecodeWorkers sizes the decode lane shared by every session:
-	// 0 uses GOMAXPROCS, a negative value disables the lane and decodes
-	// inline on each connection goroutine (the pre-lane baseline the
-	// ingest experiment compares against).
+	// DecodeWorkers sizes the decode lane shared by every session;
+	// 0 or less uses GOMAXPROCS.
 	DecodeWorkers int
-	// DecodeQueueDepth is each worker's job-queue capacity (default 1024).
-	// A full queue backpressures the connection goroutine — and, through
-	// the transport, the device. Pipelining clients must keep their
-	// in-flight window well below this depth, or a synchronous in-memory
-	// transport (net.Pipe) can deadlock: the client blocked writing while
-	// the worker is blocked writing an ack the client is not reading.
-	DecodeQueueDepth int
 }
+
+// decodeQueueDepth is each decode worker's job-queue capacity. A full
+// queue backpressures the connection goroutine — and, through the
+// transport, the device. Pipelining clients must keep their in-flight
+// window well below this depth, or a synchronous in-memory transport
+// (net.Pipe) can deadlock: the client blocked writing while the worker is
+// blocked writing an ack the client is not reading.
+const decodeQueueDepth = 1024
 
 // IngestStats ledgers the server-side ingest path for one device, the
 // ingest mirror of RecoveryStats. Wall-clock durations, not simulated
@@ -145,25 +144,18 @@ type decodeLane struct {
 }
 
 // acquireLane returns the running lane (starting it if needed) and takes a
-// session reference, or nil when the config says decode inline.
+// session reference.
 func (s *Server) acquireLane() *decodeLane {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.Config.DecodeWorkers < 0 {
-		return nil
-	}
 	if s.lane == nil {
 		workers := s.Config.DecodeWorkers
-		if workers == 0 {
+		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
-		}
-		depth := s.Config.DecodeQueueDepth
-		if depth <= 0 {
-			depth = 1024
 		}
 		l := &decodeLane{queues: make([]chan decodeJob, workers)}
 		for i := range l.queues {
-			l.queues[i] = make(chan decodeJob, depth)
+			l.queues[i] = make(chan decodeJob, decodeQueueDepth)
 			go laneWorker(l.queues[i])
 		}
 		s.lane = l
@@ -175,9 +167,6 @@ func (s *Server) acquireLane() *decodeLane {
 // releaseLane drops a session reference; the last release closes the
 // queues (queued jobs still drain) and forgets the lane.
 func (s *Server) releaseLane(l *decodeLane) {
-	if l == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l.refs--
@@ -209,7 +198,7 @@ type session struct {
 	nc       net.Conn
 	conn     *nvmeoe.Conn
 	deviceID uint64
-	lane     *decodeLane // nil: decode inline on the connection goroutine
+	lane     *decodeLane
 	led      *ingestLedger
 
 	// The nvmeoe.Conn is not safe for concurrent writers; lane workers
@@ -240,15 +229,12 @@ func (ss *session) sendErr(code uint32, err error) error {
 	return ss.writeMsg(nvmeoe.MsgError, (&nvmeoe.ErrorMsg{Code: code, Text: err.Error()}).Marshal())
 }
 
-// begin registers one in-flight decode job, returning the backlog depth
-// for the queue-peak ledger.
-func (ss *session) begin() int {
+// begin registers one in-flight decode job.
+func (ss *session) begin() {
 	ss.pendMu.Lock()
 	ss.pending++
-	p := ss.pending
 	ss.pendMu.Unlock()
 	ss.srv.noteQueue(1)
-	return p
 }
 
 func (ss *session) done() {
@@ -282,16 +268,12 @@ func decodeBlob(buf *bufpool.Buf, body []byte) ([]byte, error) {
 	return nvmeoe.AppendDecodeSegmentBlob(buf.B[:0], body)
 }
 
-// ingestSegment is the whole per-segment ingest: pooled decode, verify,
-// append (running detection subscribers), ack. It runs on a lane worker,
-// or on the connection goroutine when the lane is disabled.
+// ingestSegment is the whole per-segment ingest on a lane worker: pooled
+// decode, verify, append (running detection subscribers), ack.
 func (ss *session) ingestSegment(body []byte) {
-	queued := 0
-	if ss.lane != nil {
-		ss.pendMu.Lock()
-		queued = ss.pending
-		ss.pendMu.Unlock()
-	}
+	ss.pendMu.Lock()
+	queued := ss.pending
+	ss.pendMu.Unlock()
 	start := time.Now()
 	buf := bufpool.Get(nvmeoe.SegmentBlobLogicalSize(body))
 	raw, err := decodeBlob(buf, body)
@@ -331,9 +313,9 @@ func (ss *session) ingestSegment(body []byte) {
 	}
 
 	if err != nil {
-		// Match the inline path's contract: report and keep the session;
-		// the device's chain state is unchanged, so it can resync. Only a
-		// broken transport kills the connection.
+		// Report and keep the session: the device's chain state is
+		// unchanged, so it can resync. Only a broken transport kills the
+		// connection.
 		if ss.sendErr(CodeBadData, err) != nil {
 			ss.nc.Close()
 		}
@@ -353,7 +335,7 @@ func (ss *session) ingestSegment(body []byte) {
 // keeps a server's decode lane fed, where PushSegmentBlob's one-at-a-time
 // round trip would idle it. lastSeqs[i] is blobs[i]'s LastSeq; acks return
 // in order. The first server-reported error aborts the push. window must
-// stay well below the server's DecodeQueueDepth (see there).
+// stay well below the server's decode queue depth (decodeQueueDepth).
 func (c *Client) PushSegmentBlobs(blobs [][]byte, lastSeqs []uint64, window int) error {
 	if len(blobs) != len(lastSeqs) {
 		return fmt.Errorf("remote: %d blobs with %d seqs", len(blobs), len(lastSeqs))

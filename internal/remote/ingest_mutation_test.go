@@ -19,7 +19,7 @@ import (
 func TestIngestFrameMutationCorpus(t *testing.T) {
 	st := NewStore(NewMemStore())
 	srv := NewServer(st, psk)
-	srv.Config.DecodeWorkers = 2 // exercise the lane, not the inline path
+	srv.Config.DecodeWorkers = 2
 	cl, err := Loopback(srv, psk, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +55,11 @@ func TestIngestFrameMutationCorpus(t *testing.T) {
 		}
 		rejected++
 	}
+
+	// A bare segment marshal carries no codec header: the wire has one
+	// format, so a valid next segment without it is still rejected. It
+	// goes first, while segs[0] would extend the chain.
+	mutate(segs[0].Marshal(), true, "headerless segment marshal")
 
 	// Every truncation of the blob must be rejected: the codec header
 	// claims a logical size the remainder cannot deliver.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/oplog"
 	"repro/internal/simclock"
 )
@@ -86,7 +87,11 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 
 	var streamed []oplog.PageRecord
 	var chunks int
-	end, err := cl.FetchImageStream(0, 100, 8, func(pages []oplog.PageRecord, wire, logical int) error {
+	end, err := cl.FetchImageStream(0, 100, 0, 8, nil, func(pages []oplog.PageRecord, cs ChunkStats) error {
+		wire, logical := cs.WireBytes, cs.LogicalBytes
+		if cs.Literals != len(pages) || cs.Refs != 0 {
+			return fmt.Errorf("cacheless stream chunk stats %+v for %d pages", cs, len(pages))
+		}
 		if wire <= 0 || logical <= 0 || wire > logical+64 {
 			return fmt.Errorf("implausible chunk sizes wire=%d logical=%d", wire, logical)
 		}
@@ -110,7 +115,7 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 	}
 
 	// Resume: a stream opened at LPN 25 serves only the tail.
-	end2, err := cl.FetchImageStream(25, 100, 8, func(pages []oplog.PageRecord, wire, logical int) error {
+	end2, err := cl.FetchImageStream(25, 100, 0, 8, nil, func(pages []oplog.PageRecord, _ ChunkStats) error {
 		for _, p := range pages {
 			if p.LPN < 25 {
 				return fmt.Errorf("resumed stream re-served lpn %d", p.LPN)
@@ -162,52 +167,35 @@ func TestFetchRange(t *testing.T) {
 // TestRecoveryLinkFairShare: with k sessions open, a chunk costs k times
 // its solo transfer time plus RTT — the NIC is split fairly.
 func TestRecoveryLinkFairShare(t *testing.T) {
-	l := NewRecoveryLink(simclock.Microsecond, 1000) // 1 GB/s, 1µs RTT
-	const bytes = 1e6                                // 1 MB: 1ms solo
+	// 1 GB/s with a 1µs RTT: a 1 MB chunk takes 1ms solo.
+	l := NewRecoveryLinkOn(netsim.New(netsim.Config{RTT: simclock.Microsecond, MBps: 1000}))
+	const bytes = 1e6
 	rel1 := l.Open()
-	solo := l.ChunkTime(bytes)
+	solo := l.ChunkTimeAt(bytes, 0)
 	if want := simclock.Microsecond + simclock.Millisecond; solo != want {
 		t.Fatalf("solo chunk = %v, want %v", solo, want)
 	}
 	rel2 := l.Open()
 	rel3 := l.Open()
-	if got := l.ChunkTime(bytes); got != simclock.Microsecond+3*simclock.Millisecond {
+	if got := l.ChunkTimeAt(bytes, 0); got != simclock.Microsecond+3*simclock.Millisecond {
 		t.Fatalf("3-way chunk = %v", got)
 	}
 	rel2()
 	rel2() // release is idempotent
 	rel3()
-	if got := l.ChunkTime(bytes); got != solo {
+	if got := l.ChunkTimeAt(bytes, 0); got != solo {
 		t.Fatalf("share not returned after release: %v", got)
 	}
 	rel1()
-	if l.Active() != 0 || l.PeakSessions() != 3 {
-		t.Fatalf("active=%d peak=%d", l.Active(), l.PeakSessions())
+	if n := l.Arbiter().ActiveFlows(netsim.ClassRestore); n != 0 || l.PeakSessions() != 3 {
+		t.Fatalf("active=%d peak=%d", n, l.PeakSessions())
 	}
-	// An unconfigured link still prices transfers (defaults), and the
-	// zero value must behave exactly like NewRecoveryLink(0, 0) — the
-	// contract the arbiter delegation shim must not drift from.
-	var def RecoveryLink
-	if def.ChunkTime(1<<20) <= 0 {
-		t.Fatal("default link priced a chunk at zero")
-	}
-	ctor := NewRecoveryLink(0, 0)
-	if got, want := def.ChunkTime(1<<20), ctor.ChunkTime(1<<20); got != want {
-		t.Fatalf("zero-value ChunkTime %v != NewRecoveryLink(0,0) %v", got, want)
-	}
-	rel := def.Open()
-	relC := ctor.Open()
-	if got, want := def.ChunkTime(1<<20), ctor.ChunkTime(1<<20); got != want {
-		t.Fatalf("zero-value open-session ChunkTime %v != constructor's %v", got, want)
-	}
-	rel()
-	relC()
-	if def.Active() != ctor.Active() || def.PeakSessions() != ctor.PeakSessions() {
-		t.Fatalf("zero-value session ledger (%d/%d) != constructor's (%d/%d)",
-			def.Active(), def.PeakSessions(), ctor.Active(), ctor.PeakSessions())
-	}
-	// The defaults are the arbiter defaults: one constant set, not two.
+	// The private link prices transfers at the documented defaults.
+	def := NewRecoveryLink()
 	if def.Arbiter().LineMBps() != DefaultRecoveryMBps || def.Arbiter().RTT() != DefaultRecoveryRTT {
-		t.Fatal("zero-value link did not resolve the documented defaults")
+		t.Fatal("private link did not resolve the documented defaults")
+	}
+	if def.ChunkTimeAt(1<<20, 0) <= DefaultRecoveryRTT {
+		t.Fatal("default link priced a chunk at no more than its RTT")
 	}
 }

@@ -270,10 +270,6 @@ func TestClientServerEndToEnd(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("FetchVersion before first write: ok=%v err=%v", ok, err)
 	}
-	img, err := cl.FetchImage(30)
-	if err != nil || len(img) != 8 {
-		t.Fatalf("FetchImage = %d, %v", len(img), err)
-	}
 	cp, ok, err := cl.FetchCheckpoint(100)
 	if err != nil || !ok || cp.Seq != 12 {
 		t.Fatalf("FetchCheckpoint = %+v %v %v", cp, ok, err)

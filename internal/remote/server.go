@@ -364,16 +364,12 @@ func (s *Server) serve(nc net.Conn, untrack func()) {
 func (s *Server) dispatch(ss *session, typ nvmeoe.MsgType, body []byte) error {
 	switch typ {
 	case nvmeoe.MsgSegment:
-		// The payload is the codec-framed segment blob (or a bare marshal
-		// from a pre-codec device). Hand it to the decode lane and return
-		// to the wire: the worker decodes, verifies, appends, and acks.
-		// body is private to this ReadMsg, so the handoff is safe.
-		if ss.lane != nil {
-			ss.begin()
-			ss.lane.enqueue(ss, body)
-			return nil
-		}
-		ss.ingestSegment(body) // inline baseline (DecodeWorkers < 0)
+		// The payload is the codec-framed segment blob. Hand it to the
+		// decode lane and return to the wire: the worker decodes,
+		// verifies, appends, and acks. body is private to this ReadMsg, so
+		// the handoff is safe.
+		ss.begin()
+		ss.lane.enqueue(ss, body)
 		return nil
 
 	case nvmeoe.MsgCheckpoint:
@@ -419,12 +415,6 @@ func (s *Server) serveFetch(ss *session, req nvmeoe.FetchReq) error {
 		if rec, ok := s.Store.Version(deviceID, req.LPN, req.Before); ok {
 			seg.Pages = []oplog.PageRecord{rec}
 		}
-		return ss.writeMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
-	case nvmeoe.FetchImage:
-		// Compatibility shim: the monolithic image reply predates the
-		// streamed restore path and survives for old tooling; new restores
-		// go through FetchImageStream.
-		seg := &oplog.Segment{DeviceID: deviceID, Pages: s.Store.Image(deviceID, req.Before)}
 		return ss.writeMsg(nvmeoe.MsgFetchResp, nvmeoe.EncodeSegmentBlob(seg.Marshal()))
 	case nvmeoe.FetchImageStream:
 		return s.serveImageStream(ss, req)
@@ -487,15 +477,20 @@ func (s *Server) serveImageStream(ss *session, req nvmeoe.FetchReq) error {
 	if chunkPages > MaxRecoveryChunkPages {
 		chunkPages = MaxRecoveryChunkPages
 	}
-	delta := RecoveryStats{Streams: 1}
+	// The stream is ledgered at open, its traffic at its end: a stream the
+	// device cuts ends here only when the next write fails, which can be
+	// after the device has already resumed on a fresh session.
+	opened := RecoveryStats{Streams: 1}
 	if req.From > 0 {
-		delta.Resumes = 1
+		opened.Resumes = 1
 	}
 	dedup := req.Flags&nvmeoe.FetchFlagDedup != 0
 	only := s.Store.TouchedSince(deviceID, req.Anchor)
 	if only != nil {
-		delta.DeltaStreams = 1
+		opened.DeltaStreams = 1
 	}
+	s.addRecovery(deviceID, opened)
+	var delta RecoveryStats
 	var sent map[[oplog.HashSize]byte]struct{}
 	var refPages []nvmeoe.RefPage
 	if dedup {
@@ -670,9 +665,8 @@ func (c *Client) PushCheckpoint(cp *nvmeoe.Checkpoint) error {
 	return err
 }
 
-// fetchSegment round-trips one fetch request whose reply is a (possibly
-// codec-framed) segment marshal. Pre-codec servers reply with bare
-// marshals; DecodeSegmentBlob passes those through.
+// fetchSegment round-trips one fetch request whose reply is a
+// codec-framed segment marshal.
 func (c *Client) fetchSegment(req nvmeoe.FetchReq) (*oplog.Segment, error) {
 	body, err := c.roundTrip(nvmeoe.MsgFetch, req.Marshal(), nvmeoe.MsgFetchResp)
 	if err != nil {
@@ -707,18 +701,6 @@ func (c *Client) FetchVersion(lpn, before uint64) (oplog.PageRecord, bool, error
 	return seg.Pages[0], true, nil
 }
 
-// FetchImage retrieves the newest retained version of every LPN before the
-// given sequence in one monolithic reply. It survives as the
-// compatibility shim for old tooling; restores use FetchImageStream,
-// which resumes after a disconnect instead of starting over.
-func (c *Client) FetchImage(before uint64) ([]oplog.PageRecord, error) {
-	seg, err := c.fetchSegment(nvmeoe.FetchReq{Kind: nvmeoe.FetchImage, Before: before})
-	if err != nil {
-		return nil, err
-	}
-	return seg.Pages, nil
-}
-
 // FetchRange retrieves, for every LPN with from <= LPN < to, the newest
 // retained version written before the given sequence — one targeted,
 // codec-framed chunk of the image.
@@ -728,55 +710,6 @@ func (c *Client) FetchRange(from, to, before uint64) ([]oplog.PageRecord, error)
 		return nil, err
 	}
 	return seg.Pages, nil
-}
-
-// FetchImageStream streams the point-in-time image before the given
-// sequence as LPN-ordered chunks, invoking fn once per chunk with the
-// decoded pages plus the chunk's wire (codec-framed) and logical
-// (decoded) sizes. from > 0 resumes an interrupted stream: only LPNs at
-// or past it are served. The session is busy for the whole stream; if fn
-// returns an error the stream is abandoned mid-flight and the session
-// must be closed, which is exactly what a resuming restorer does.
-func (c *Client) FetchImageStream(from, before uint64, chunkPages int, fn func(pages []oplog.PageRecord, wire, logical int) error) (nvmeoe.StreamEnd, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	req := nvmeoe.FetchReq{
-		Kind: nvmeoe.FetchImageStream, From: from, Before: before,
-		ChunkPages: uint32(chunkPages),
-	}
-	if err := c.conn.WriteMsg(nvmeoe.MsgFetch, req.Marshal()); err != nil {
-		return nvmeoe.StreamEnd{}, err
-	}
-	for {
-		typ, body, err := c.conn.ReadMsg()
-		if err != nil {
-			return nvmeoe.StreamEnd{}, err
-		}
-		switch typ {
-		case nvmeoe.MsgFetchChunk:
-			raw, err := nvmeoe.DecodeSegmentBlob(body)
-			if err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-			seg, err := oplog.UnmarshalSegment(raw)
-			if err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-			if err := fn(seg.Pages, len(body), len(raw)); err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-		case nvmeoe.MsgFetchEnd:
-			return nvmeoe.UnmarshalStreamEnd(body)
-		case nvmeoe.MsgError:
-			em, err := nvmeoe.UnmarshalErrorMsg(body)
-			if err != nil {
-				return nvmeoe.StreamEnd{}, err
-			}
-			return nvmeoe.StreamEnd{}, &RemoteError{Code: em.Code, Text: em.Text}
-		default:
-			return nvmeoe.StreamEnd{}, fmt.Errorf("remote: unexpected message %v in image stream", typ)
-		}
-	}
 }
 
 // ChunkStats describes one streamed restore chunk as the dedup-aware
@@ -789,19 +722,24 @@ type ChunkStats struct {
 	Refs         int
 }
 
-// FetchImageDelta is the dedup-aware image stream: it requests
-// hash-reference chunks when cache is non-nil (literals verified against
-// their content hash before entering the cache; references resolved from
-// it) and a checkpoint-anchored delta when anchor > 0 (only LPNs touched
-// at or after the anchor are streamed). Legacy full-page chunks from a
-// pre-dedup server decode transparently — their pages count as literals
-// and still feed the cache, so a mixed stream stays resolvable. The cache
-// must outlive resumes of the same restore: references in a resumed
-// session may point at literals delivered before the cut only if the
-// server re-literals them (it does — the sent set is per session), so a
-// fresh session is always self-contained, and the surviving cache merely
-// dedups the copies.
-func (c *Client) FetchImageDelta(from, before, anchor uint64, chunkPages int, cache *ResolveCache, fn func(pages []oplog.PageRecord, cs ChunkStats) error) (nvmeoe.StreamEnd, error) {
+// FetchImageStream streams the point-in-time image before the given
+// sequence as LPN-ordered chunks, invoking fn once per chunk with the
+// decoded pages and the chunk's ChunkStats. from > 0 resumes an
+// interrupted stream: only LPNs at or past it are served. The session is
+// busy for the whole stream; if fn returns an error the stream is
+// abandoned mid-flight and the session must be closed, which is exactly
+// what a resuming restorer does.
+//
+// A non-nil cache requests hash-reference chunks (literals verified
+// against their content hash before entering the cache; references
+// resolved from it); with a nil cache every chunk is full-page literals.
+// anchor > 0 requests a checkpoint-anchored delta (only LPNs touched at or
+// after the anchor are streamed). The cache must outlive resumes of the
+// same restore: references in a resumed session may point at literals
+// delivered before the cut only if the server re-literals them (it does —
+// the sent set is per session), so a fresh session is always
+// self-contained, and the surviving cache merely dedups the copies.
+func (c *Client) FetchImageStream(from, before, anchor uint64, chunkPages int, cache *ResolveCache, fn func(pages []oplog.PageRecord, cs ChunkStats) error) (nvmeoe.StreamEnd, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	req := nvmeoe.FetchReq{
@@ -860,8 +798,8 @@ func (c *Client) FetchImageDelta(from, before, anchor uint64, chunkPages int, ca
 				return nvmeoe.StreamEnd{}, err
 			}
 		case nvmeoe.MsgFetchChunk:
-			// Legacy full-page chunk (pre-dedup server, or dedup not
-			// requested): every page is a literal.
+			// Full-page chunk (dedup not requested): every page is a
+			// literal.
 			raw, err := nvmeoe.DecodeSegmentBlob(body)
 			if err != nil {
 				return nvmeoe.StreamEnd{}, err
@@ -871,15 +809,6 @@ func (c *Client) FetchImageDelta(from, before, anchor uint64, chunkPages int, ca
 				return nvmeoe.StreamEnd{}, err
 			}
 			cs := ChunkStats{WireBytes: len(body), LogicalBytes: len(raw), Literals: len(seg.Pages)}
-			if cache != nil {
-				for i := range seg.Pages {
-					data, err := cache.Add(seg.Pages[i].Hash, seg.Pages[i].Data)
-					if err != nil {
-						return nvmeoe.StreamEnd{}, err
-					}
-					seg.Pages[i].Data = data
-				}
-			}
 			if err := fn(seg.Pages, cs); err != nil {
 				return nvmeoe.StreamEnd{}, err
 			}

@@ -570,8 +570,8 @@ func (s *Store) PutServiceTime(n int) simclock.Duration {
 }
 
 // FetchSegment retrieves and decodes the device's i-th stored segment,
-// transparently inflating compressed blobs (legacy uncompressed blobs
-// decode too). Forensic tooling re-reads the raw evidence chain this way.
+// transparently inflating compressed blobs. Forensic tooling re-reads the
+// raw evidence chain this way.
 func (s *Store) FetchSegment(deviceID uint64, i int) (*oplog.Segment, error) {
 	d, ok := s.lookup(deviceID)
 	if !ok {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/nvmeoe"
@@ -161,27 +162,36 @@ func TestS3SimEventualList(t *testing.T) {
 }
 
 // TestReloadMixedBlobs rebuilds a store whose object store holds a mix of
-// legacy bare-marshal segment blobs (pre-codec sessions) and codec-framed
-// compressed ones: the chain must verify end to end across the format
-// boundary.
+// deflate- and stored-codec segment blobs: the chain must verify end to
+// end across both codecs.
 func TestReloadMixedBlobs(t *testing.T) {
 	segs := buildSegments(1, 4, 10)
+	rng := rand.New(rand.NewSource(5))
 	blobs := NewMemStore()
 	var wantLogical, wantStored int64
 	for i, seg := range segs {
-		key := fmt.Sprintf("dev/1/seg/%020d", seg.FirstSeq)
-		raw := seg.Marshal()
-		if i%2 == 0 {
-			// Legacy blob: stored exactly as marshaled.
-			blobs.Put(key, raw)
-			wantLogical += int64(len(raw))
-			wantStored += int64(len(raw))
-		} else {
-			blob := nvmeoe.EncodeSegmentBlob(raw)
-			blobs.Put(key, blob)
-			wantLogical += int64(len(raw))
-			wantStored += int64(len(blob))
+		// Even segments carry noise pages (stored codec), odd ones
+		// compressible text (deflate).
+		want := nvmeoe.CodecStored
+		for j := range seg.Pages {
+			data := bytes.Repeat([]byte("ransom"), 512)
+			if i%2 == 0 {
+				rng.Read(data)
+			}
+			seg.Pages[j].Data = data
+			seg.Pages[j].Hash = oplog.HashData(data)
 		}
+		if i%2 == 1 {
+			want = nvmeoe.CodecDeflate
+		}
+		raw := seg.Marshal()
+		blob := nvmeoe.EncodeSegmentBlob(raw)
+		if got := nvmeoe.Codec(blob[4]); got != want {
+			t.Fatalf("segment %d encoded as %v, want %v", i, got, want)
+		}
+		blobs.Put(fmt.Sprintf("dev/1/seg/%020d", seg.FirstSeq), blob)
+		wantLogical += int64(len(raw))
+		wantStored += int64(len(blob))
 	}
 	st := NewStore(blobs)
 	if err := st.Reload(); err != nil {
@@ -194,7 +204,7 @@ func TestReloadMixedBlobs(t *testing.T) {
 	if ds.Segments != 4 || ds.BytesLogical != wantLogical || ds.BytesStored != wantStored {
 		t.Fatalf("stats = %+v, want logical %d stored %d", ds, wantLogical, wantStored)
 	}
-	// Both formats fetch and inflate transparently.
+	// Both codecs fetch and decode transparently.
 	for i := range segs {
 		got, err := st.FetchSegment(1, i)
 		if err != nil {
