@@ -6,12 +6,10 @@ import (
 	"repro/internal/netsim"
 )
 
-// TestFleetRecoveryDedup is the CI-sized fleet power-cycle recovery run
-// over the content-addressed restore path: 2 devices (one attacked),
-// concurrent restore with hash-reference chunks, resolve cache and
-// checkpoint-anchored delta, one deliberately cut recovery link, verified
-// rollback, and an outage-drain with redial.
-func TestFleetRecoveryDedup(t *testing.T) {
+// TestFleetRecoveryScenario is the CI-sized fleet power-cycle recovery
+// run: 2 devices (one attacked), concurrent restore, one deliberately cut
+// recovery link, verified rollback, and an outage-drain with redial.
+func TestFleetRecoveryScenario(t *testing.T) {
 	res, err := FleetRecovery(SmallScale(), 2, netsim.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -27,13 +25,10 @@ func TestFleetRecoveryDedup(t *testing.T) {
 		t.Fatalf("false alerts: %d", s.FalseAlerts)
 	}
 	if !s.AllVerified {
-		t.Fatal("dedup-restored images not page-identical to the pre-attack state")
-	}
-	if !s.ChainsVerified {
-		t.Fatal("evidence chains failed verification after dedup restore")
+		t.Fatal("restored images not page-identical to the pre-attack state")
 	}
 	if s.Resumes == 0 {
-		t.Fatal("the choked device never resumed a cut dedup stream")
+		t.Fatal("the choked device never resumed a cut stream")
 	}
 	if s.MaxRTOms <= 0 || s.RestoreGBps <= 0 {
 		t.Fatalf("implausible restore timing: %+v", s)
@@ -53,6 +48,35 @@ func TestFleetRecoveryDedup(t *testing.T) {
 	if s.NICStats[netsim.ClassRestore].Grants == 0 || s.NICStats[netsim.ClassOffload].Grants == 0 {
 		t.Fatalf("shared NIC ledger missing a traffic class: %+v", s.NICStats)
 	}
+	for _, r := range res.Rows {
+		if r.SnapshotPages == 0 || !r.Verified {
+			t.Fatalf("device %d: %+v", r.Device, r)
+		}
+		if r.RestoredPages == 0 {
+			t.Fatalf("device %d restored nothing (no rollback work): %+v", r.Device, r)
+		}
+	}
+}
+
+// TestFleetRecoveryDedup checks what the content-addressed restore path
+// adds to the same scenario: hash-reference chunks, resolve cache and
+// checkpoint-anchored delta, through the same choked-link resume and
+// outage drain, with the same page-identical verification.
+func TestFleetRecoveryDedup(t *testing.T) {
+	res, err := FleetRecovery(SmallScale(), 2, netsim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Summary
+	if !s.AllVerified {
+		t.Fatal("dedup-restored images not page-identical to the pre-attack state")
+	}
+	if !s.ChainsVerified {
+		t.Fatal("evidence chains failed verification after dedup restore")
+	}
+	if s.Resumes == 0 {
+		t.Fatal("the choked device never resumed a cut dedup stream")
+	}
 	if s.LiteralPages == 0 {
 		t.Fatal("dedup stream carried no literal pages")
 	}
@@ -60,11 +84,8 @@ func TestFleetRecoveryDedup(t *testing.T) {
 		if r.AnchorSeq == 0 {
 			t.Fatalf("device %d restored without a checkpoint anchor: %+v", r.Device, r)
 		}
-		if r.SnapshotPages == 0 || !r.Verified {
-			t.Fatalf("device %d: %+v", r.Device, r)
-		}
-		if r.RestoredPages == 0 {
-			t.Fatalf("device %d restored nothing (no rollback work): %+v", r.Device, r)
+		if !r.Verified {
+			t.Fatalf("device %d not verified: %+v", r.Device, r)
 		}
 	}
 }
