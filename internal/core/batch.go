@@ -111,7 +111,7 @@ func (r *RSSD) submitWrites(run []Op, res []Result, at simclock.Time, done *simc
 		entries := r.log.AppendBatch(recs)
 		writes := make([]ftl.BatchWrite, len(sub))
 		for k, i := range sub {
-			writes[k] = ftl.BatchWrite{LPN: run[i].LPN, Data: run[i].Data, Seq: entries[k].Seq}
+			writes[k] = ftl.BatchWrite{LPN: run[i].LPN, Data: run[i].Data, Seq: entries[k].Seq, Hash: recs[k].DataHash}
 		}
 		ts, _, err := r.f.WriteBatch(writes, at)
 		if err != nil {

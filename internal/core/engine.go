@@ -284,8 +284,11 @@ func (r *RSSD) buildSegment(batch []*retEntry, at simclock.Time) (*stagedSegment
 	for _, re := range batch {
 		// Background lane: the offload engine's flash reads fill host idle
 		// gaps (read-suspend priority) rather than delaying host I/O. The
-		// returned page is a pooled buffer this segment now owns.
-		data, _, done, err := r.f.ReadPhysicalBackground(re.ppn, at)
+		// returned page is a pooled buffer this segment now owns. The
+		// record carries the write-time hash from the page's OOB, not one
+		// computed over what flash returned: a page that reads back
+		// corrupted fails the server's verify instead of being laundered.
+		data, oob, done, err := r.f.ReadPhysicalBackground(re.ppn, at)
 		if err != nil {
 			for _, pb := range st.pageBufs {
 				pb.Release()
@@ -302,7 +305,7 @@ func (r *RSSD) buildSegment(batch []*retEntry, at simclock.Time) (*stagedSegment
 			WriteSeq: re.writeSeq,
 			StaleSeq: re.staleSeq,
 			Cause:    uint8(re.cause),
-			Hash:     oplog.HashData(data.B),
+			Hash:     oob.Hash,
 			Data:     data.B,
 		})
 	}

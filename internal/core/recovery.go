@@ -366,6 +366,13 @@ func (r *RSSD) ImageBefore(before uint64, at simclock.Time) ([][]byte, error) {
 // a recovery action so the evidence chain distinguishes restoration from
 // host activity.
 func (r *RSSD) RestoreWrite(lpn uint64, data []byte, at simclock.Time) (simclock.Time, error) {
+	return r.restoreWrite(lpn, data, oplog.HashData(data), at)
+}
+
+// restoreWrite is RestoreWrite for data whose content hash is already
+// known: a streamed page the restore client verified on arrival, or a
+// local pin's write-time hash from its OOB.
+func (r *RSSD) restoreWrite(lpn uint64, data []byte, hash [oplog.HashSize]byte, at simclock.Time) (simclock.Time, error) {
 	if len(data) != r.f.PageSize() {
 		return at, ftl.ErrBadPageSize
 	}
@@ -373,9 +380,9 @@ func (r *RSSD) RestoreWrite(lpn uint64, data []byte, at simclock.Time) (simclock
 		return at, ftl.ErrOutOfRange
 	}
 	oldPPN := r.f.Lookup(lpn)
-	e := r.log.Append(oplog.KindRecovery, at, lpn, oldPPN, ftl.NoPPN, 0, oplog.HashData(data))
+	e := r.log.Append(oplog.KindRecovery, at, lpn, oldPPN, ftl.NoPPN, 0, hash)
 	r.curStaleSeq, r.curStaleAt = e.Seq, at
-	done, err := r.f.WriteWithSeq(lpn, data, e.Seq, at)
+	done, err := r.f.WriteWithSeq(lpn, data, e.Seq, hash, at)
 	if err != nil {
 		return done, err
 	}
@@ -643,16 +650,22 @@ func (r *RSSD) restoreLPN(lpn, before uint64, rec *oplog.PageRecord, at simclock
 		rep.PagesKept++
 		return at, nil
 	}
+	// Neither source is hashed again: a streamed record's hash was
+	// verified against its bytes by the restore client, and a local pin
+	// carries its write-time hash in its OOB. nand.Program copies data.
 	var data []byte
+	var hash [oplog.HashSize]byte
 	if best.rec != nil {
-		data = append([]byte(nil), best.rec.Data...)
+		data, hash = best.rec.Data, best.rec.Hash
 	} else {
+		var oob nand.OOB
 		var err error
-		if data, _, _, err = r.f.ReadPhysical(best.ppn, at); err != nil {
+		if data, oob, _, err = r.f.ReadPhysical(best.ppn, at); err != nil {
 			return at, fmt.Errorf("read pin for lpn %d (ppn %d): %w", lpn, best.ppn, err)
 		}
+		hash = oob.Hash
 	}
-	at, err := r.RestoreWrite(lpn, data, at)
+	at, err := r.restoreWrite(lpn, data, hash, at)
 	if err != nil {
 		return at, fmt.Errorf("restore lpn %d: %w", lpn, err)
 	}

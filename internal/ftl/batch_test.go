@@ -98,32 +98,44 @@ func TestWriteBatchDuplicateLPNKeepsSubmissionOrder(t *testing.T) {
 // TestWriteBatchSurvivesGC writes several device capacities in large
 // batches, forcing garbage collection to run mid-batch, and verifies no
 // live page is lost — the flush-before-GC invariant of the batched
-// datapath.
+// datapath — and that each page's write-time hash stays in its OOB across
+// GC migration.
 func TestWriteBatchSurvivesGC(t *testing.T) {
 	f := New(batchTestConfig(), nil)
 	n := f.LogicalPages()
-	round := 0
-	for pass := 0; pass < 4; pass++ {
+	want := make([]byte, n)
+	for pass := 0; pass < 6; pass++ {
+		// After the first pass only even LPNs are rewritten, so GC must
+		// migrate the odd LPNs' still-valid pages out of victim blocks.
 		var ops []BatchWrite
 		for lpn := uint64(0); lpn < n; lpn++ {
-			ops = append(ops, BatchWrite{LPN: lpn, Data: pageOf(byte(round+int(lpn)), 512)})
+			if pass > 0 && lpn%2 == 1 {
+				continue
+			}
+			want[lpn] = byte(pass + int(lpn))
+			ops = append(ops, BatchWrite{LPN: lpn, Data: pageOf(want[lpn], 512), Hash: [32]byte{want[lpn]}})
 		}
 		if _, _, err := f.WriteBatch(ops, 0); err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
-		round++
 	}
-	if f.Stats().GCRuns == 0 {
-		t.Fatal("test did not exercise GC")
+	if st := f.Stats(); st.GCRuns == 0 || st.GCMigrates == 0 {
+		t.Fatalf("test did not exercise GC migration: %+v", st)
 	}
 	data, _, _, err := f.ReadBatch(seqLPNs(n), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for lpn := uint64(0); lpn < n; lpn++ {
-		want := byte(round - 1 + int(lpn))
-		if data[lpn][0] != want {
-			t.Fatalf("lpn %d: content %#x, want %#x after GC", lpn, data[lpn][0], want)
+		if data[lpn][0] != want[lpn] {
+			t.Fatalf("lpn %d: content %#x, want %#x after GC", lpn, data[lpn][0], want[lpn])
+		}
+		_, oob, _, err := f.ReadPhysical(f.Lookup(lpn), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oob.Hash != [32]byte{want[lpn]} {
+			t.Fatalf("lpn %d: OOB hash %x, want the write-time hash after GC", lpn, oob.Hash[:1])
 		}
 	}
 }

@@ -428,13 +428,14 @@ func TestCostBenefitPolicyAlsoPreservesData(t *testing.T) {
 
 func TestWriteWithSeqStampsOOB(t *testing.T) {
 	f := New(smallConfig(), nil)
-	f.WriteWithSeq(2, fill(9, 512), 77, 0)
+	hash := [32]byte{1, 2, 3}
+	f.WriteWithSeq(2, fill(9, 512), 77, hash, 0)
 	ppn := f.Lookup(2)
 	_, oob, _, err := f.ReadPhysical(ppn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oob.Seq != 77 || oob.LPN != 2 {
+	if oob.Seq != 77 || oob.LPN != 2 || oob.Hash != hash {
 		t.Fatalf("OOB = %+v", oob)
 	}
 }

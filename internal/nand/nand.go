@@ -144,9 +144,18 @@ func DefaultConfig() Config {
 // operation-log sequence number so retained pages can be tied to log
 // entries during forensics.
 type OOB struct {
-	LPN  uint64 // logical page the data belonged to when written
-	Seq  uint64 // operation-log sequence number of the write
-	Kind uint8  // page kind tag, interpreted by the owner (host/GC/log)
+	LPN uint64 // logical page the data belonged to when written
+	Seq uint64 // operation-log sequence number of the write
+	// Hash is the SHA-256 of the page data as the host wrote it — the
+	// DataHash of the write's log entry (zero when the writer keeps no
+	// log). It is stamped at program time and never recomputed from flash
+	// contents, so a page that later reads back corrupted (a bit error)
+	// no longer matches it: consumers that ship or restore the page carry
+	// this hash, and the remote verifier refuses the corrupted copy
+	// instead of storing it under a freshly computed, matching hash. A
+	// 4 KiB page's spare area has room for it beside LPN and Seq.
+	Hash [32]byte
+	Kind uint8 // page kind tag, interpreted by the owner (host/GC/log)
 }
 
 // Errors returned by device operations.

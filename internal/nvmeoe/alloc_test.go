@@ -160,3 +160,54 @@ func BenchmarkAppendDecodeSegmentBlob(b *testing.B) {
 		scratch.B = out[:0]
 	}
 }
+
+// TestFrameSteadyStateAllocs: once its pooled buffers are warm, WriteMsg
+// allocates nothing per frame, and ReadMsg allocates only the payload it
+// returns, for the frames the datapath sends: segment blobs (offload and
+// restore chunks, sent as is) and small control messages (acks, fetch
+// requests). A frame the layer itself deflates — a checkpoint snapshot —
+// also pays the inflater's output growth on read.
+func TestFrameSteadyStateAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertions run in the non-race job")
+	}
+	noise := make([]byte, 8192)
+	rand.Read(noise)
+	ack := Ack{UpTo: 1 << 20, SvcNs: 12345}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"blob-deflate", EncodeSegmentBlob(testSegment(t, variedPage(8192)).Marshal())},
+		{"blob-stored", EncodeSegmentBlob(testSegment(t, noise).Marshal())},
+		{"ack", ack.Marshal()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const runs = 50
+			dev, devNC, srv, srvNC := memSessions(t)
+			// AllocsPerRun calls its function runs+1 times.
+			for i := 0; i < runs+1; i++ {
+				if err := dev.WriteMsg(MsgSegment, tc.payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srvNC.r.Reset(bytes.Clone(devNC.w.Bytes()))
+			if n := testing.AllocsPerRun(runs, func() {
+				devNC.w.Reset()
+				if err := dev.WriteMsg(MsgSegment, tc.payload); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("WriteMsg: %v allocs/op, want 0", n)
+			}
+			if n := testing.AllocsPerRun(runs, func() {
+				_, got, err := srv.ReadMsg()
+				if err != nil || !bytes.Equal(got, tc.payload) {
+					t.Fatalf("ReadMsg: %v", err)
+				}
+			}); n != 1 {
+				t.Errorf("ReadMsg: %v allocs/op, want 1 (the returned payload)", n)
+			}
+		})
+	}
+}

@@ -53,23 +53,26 @@ func workloadSegments(tb testing.TB, profile string, cipherEvery, nseg int) [][]
 	return segs
 }
 
+// workloadCases are the generator mixes the per-layer calibration
+// benchmarks run on. "ransom" is hm content with every other page replaced
+// by ciphertext.
+var workloadCases = []struct {
+	name        string
+	profile     string
+	cipherEvery int
+}{
+	{"hm", "hm", 0},
+	{"src", "src", 0},
+	{"usr", "usr", 0},
+	{"ransom", "hm", 2},
+}
+
 // BenchmarkCodecWorkload measures the segment codec on generator pages, the
 // calibration twin of the simulator's encode and decode rates: encode and
 // decode throughput in logical MB/s, and the wire compression ratio
-// (logical/wire bytes). "ransom" is hm content with every other page
-// replaced by ciphertext.
+// (logical/wire bytes).
 func BenchmarkCodecWorkload(b *testing.B) {
-	cases := []struct {
-		name        string
-		profile     string
-		cipherEvery int
-	}{
-		{"hm", "hm", 0},
-		{"src", "src", 0},
-		{"usr", "usr", 0},
-		{"ransom", "hm", 2},
-	}
-	for _, c := range cases {
+	for _, c := range workloadCases {
 		b.Run(c.name, func(b *testing.B) {
 			raws := workloadSegments(b, c.profile, c.cipherEvery, 8)
 			logical, wire := 0, 0
@@ -108,6 +111,72 @@ func BenchmarkCodecWorkload(b *testing.B) {
 			b.ReportMetric(mb/encT.Seconds(), "enc-MB/s")
 			b.ReportMetric(mb/decT.Seconds(), "dec-MB/s")
 			b.ReportMetric(float64(logical)/float64(wire), "ratio")
+		})
+	}
+}
+
+// BenchmarkFrameWorkload measures the AEAD frame layer on the payloads it
+// carries in production — codec-framed segment blobs of generator pages —
+// as a WriteMsg→ReadMsg round trip over memory: seal plus open, in MB/s of
+// blob bytes.
+func BenchmarkFrameWorkload(b *testing.B) {
+	for _, c := range workloadCases {
+		b.Run(c.name, func(b *testing.B) {
+			raws := workloadSegments(b, c.profile, c.cipherEvery, 8)
+			blobs := make([][]byte, len(raws))
+			n := 0
+			for i, raw := range raws {
+				blobs[i] = AppendSegmentBlob(nil, raw)
+				n += len(blobs[i])
+			}
+			dev, devNC, srv, srvNC := memSessions(b)
+			b.ReportAllocs()
+			b.SetBytes(int64(n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, blob := range blobs {
+					devNC.w.Reset()
+					if err := dev.WriteMsg(MsgSegment, blob); err != nil {
+						b.Fatal(err)
+					}
+					srvNC.r.Reset(devNC.w.Bytes())
+					if _, _, err := srv.ReadMsg(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkVerifyPagesWorkload measures the server's SHA-256 page verify
+// (Segment.VerifyPages, run on every ingested segment) on generator
+// segments, in MB/s of page bytes.
+func BenchmarkVerifyPagesWorkload(b *testing.B) {
+	for _, c := range workloadCases {
+		b.Run(c.name, func(b *testing.B) {
+			var segs []*oplog.Segment
+			n := 0
+			for _, raw := range workloadSegments(b, c.profile, c.cipherEvery, 8) {
+				seg, err := oplog.UnmarshalSegment(raw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range seg.Pages {
+					n += len(p.Data)
+				}
+				segs = append(segs, seg)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, seg := range segs {
+					if err := seg.VerifyPages(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
 		})
 	}
 }

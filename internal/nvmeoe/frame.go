@@ -9,12 +9,17 @@
 // (net.Pipe in tests, TCP in the examples) with the properties that matter
 // for the threat model implemented cryptographically:
 //
-//   - confidentiality: payloads are AES-256-CTR encrypted with per-session
-//     keys derived from a pre-shared device key,
-//   - integrity and authenticity: every frame carries an HMAC-SHA-256 tag
-//     (encrypt-then-MAC) covering the header and ciphertext,
-//   - replay and reorder protection: frame sequence numbers are bound into
-//     the MAC and enforced strictly in order,
+//   - confidentiality and integrity in one pass: every frame is sealed
+//     with AES-256-GCM under a per-session, per-direction key derived from
+//     a pre-shared device key; there is no separate MAC key or MAC pass,
+//   - header authentication: the 20-byte frame header (magic, version,
+//     type, flags, sequence, length) is the AEAD's additional data, so a
+//     flipped header byte fails the 16-byte tag like a flipped ciphertext
+//     byte does,
+//   - replay and reorder protection: the 12-byte nonce is the frame
+//     sequence number (8 bytes little-endian) followed by a constant
+//     domain tag, and sequence numbers are enforced strictly in order
+//     after the tag verifies,
 //   - efficiency: payloads are DEFLATE-compressed when that helps, which is
 //     also how the paper stretches retention capacity in Figure 2.
 package nvmeoe
@@ -28,7 +33,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"net"
 
@@ -86,8 +90,8 @@ func (t MsgType) String() string {
 
 const (
 	frameMagic   = 0x4E4F4553 // "NOES": NVMe-oE Secure
-	protoVersion = 1
-	macSize      = sha256.Size
+	protoVersion = 2          // AES-256-GCM frames; any other version is rejected
+	tagSize      = 16         // GCM authentication tag
 	// MaxPayload bounds a single frame; segments above this are split by
 	// the offload policy before they reach the transport.
 	MaxPayload = 64 << 20
@@ -104,7 +108,8 @@ var (
 	ErrBadVersion = errors.New("nvmeoe: protocol version mismatch")
 )
 
-// header layout: magic(4) ver(1) type(1) flags(2) seq(8) clen(4) = 20 bytes
+// header layout: magic(4) ver(1) type(1) flags(2) seq(8) clen(4) = 20 bytes,
+// followed by clen ciphertext bytes and the tag.
 const headerSize = 20
 
 // direction labels for key derivation.
@@ -124,49 +129,38 @@ func deriveKey(psk, nonceC, nonceS []byte, label string) []byte {
 	return mac.Sum(nil)
 }
 
-// halfConn holds one direction's cipher state. The AES block and HMAC
-// instances are built once per session and reused per frame (Reset between
-// frames); rebuilding them per message was a measurable slice of the old
-// datapath's allocation rate.
+// halfConn is one direction's AEAD state plus the per-frame scratch the
+// cipher calls take as slices. Keeping the header, nonce and tag here
+// rather than on the stack keeps WriteMsg and ReadMsg allocation-free:
+// slices handed to an interface method (the AEAD, the net.Conn) escape.
 type halfConn struct {
-	encKey []byte
-	macKey []byte
-	seq    uint64
-
-	blk cipher.Block // cached AES block cipher (lazy)
-	mac hash.Hash    // cached HMAC-SHA-256 (lazy)
-	tag []byte       // reusable MAC output buffer
+	aead  cipher.AEAD
+	seq   uint64
+	hdr   [headerSize]byte
+	nonce [12]byte
+	tag   [tagSize]byte
 }
 
-// init lazily builds the per-session cipher state.
-func (h *halfConn) init() error {
-	if h.blk == nil {
-		blk, err := aes.NewCipher(h.encKey)
-		if err != nil {
-			return err
-		}
-		h.blk = blk
-		h.mac = hmac.New(sha256.New, h.macKey)
-		h.tag = make([]byte, 0, macSize)
+// newHalfConn builds one direction's AES-256-GCM state from its key.
+func newHalfConn(key []byte) (halfConn, error) {
+	blk, err := aes.NewCipher(key)
+	if err != nil {
+		return halfConn{}, err
 	}
-	return nil
+	aead, err := cipher.NewGCM(blk)
+	if err != nil {
+		return halfConn{}, err
+	}
+	return halfConn{aead: aead}, nil
 }
 
-// seal XORs data in place with the keystream for seq.
-func (h *halfConn) seal(seq uint64, data []byte) {
-	var iv [aes.BlockSize]byte
-	binary.LittleEndian.PutUint64(iv[:], seq)
-	iv[15] = 0x5D // domain separation from any other CTR use of the key
-	cipher.NewCTR(h.blk, iv[:]).XORKeyStream(data, data)
-}
-
-// sum computes the frame MAC over hdr and ct into the reusable tag buffer.
-func (h *halfConn) sum(hdr, ct []byte) []byte {
-	h.mac.Reset()
-	h.mac.Write(hdr)
-	h.mac.Write(ct)
-	h.tag = h.mac.Sum(h.tag[:0])
-	return h.tag
+// setNonce fills the nonce for seq: the sequence number, then the frame
+// magic as a constant domain tag. Keys are per direction and per session,
+// so (key, nonce) never repeats while seq does not wrap.
+func (h *halfConn) setNonce(seq uint64) []byte {
+	binary.LittleEndian.PutUint64(h.nonce[0:], seq)
+	binary.LittleEndian.PutUint32(h.nonce[8:], frameMagic)
+	return h.nonce[:]
 }
 
 // Conn is an established, authenticated NVMe-oE session over an underlying
@@ -179,15 +173,13 @@ type Conn struct {
 	in  halfConn
 }
 
-// WriteMsg compresses (when profitable), encrypts, MACs, and sends one
-// message. Compression scratch and the ciphertext copy ride pooled
-// buffers; nothing written here outlives the call.
+// WriteMsg compresses (when profitable), seals, and sends one message as
+// three writes: header, ciphertext, tag. Compression scratch and the
+// sealed frame ride pooled buffers; nothing written here outlives the
+// call.
 func (c *Conn) WriteMsg(t MsgType, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return ErrTooLarge
-	}
-	if err := c.out.init(); err != nil {
-		return err
 	}
 	flags := uint16(0)
 	body := payload
@@ -204,40 +196,44 @@ func (c *Conn) WriteMsg(t MsgType, payload []byte) error {
 			comp = nil
 		}
 	}
-	ct := bufpool.Get(len(body))
-	ct.B = append(ct.B, body...)
-	comp.Release() // body copied into ct; the scratch can go back
-	c.out.seal(c.out.seq, ct.B)
-	var hdr [headerSize]byte
+	o := &c.out
+	hdr := o.hdr[:]
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
 	hdr[4] = protoVersion
 	hdr[5] = byte(t)
 	binary.LittleEndian.PutUint16(hdr[6:], flags)
-	binary.LittleEndian.PutUint64(hdr[8:], c.out.seq)
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(ct.B)))
+	binary.LittleEndian.PutUint64(hdr[8:], o.seq)
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(body)))
 
-	tag := c.out.sum(hdr[:], ct.B)
-
-	c.out.seq++
-	if _, err := c.nc.Write(hdr[:]); err != nil {
-		ct.Release()
+	frame := bufpool.Get(len(body) + tagSize)
+	sealed := o.aead.Seal(frame.B, o.setNonce(o.seq), body, hdr)
+	comp.Release() // body sealed into frame; the scratch can go back
+	o.seq++
+	// The tag leaves through the struct, so the pooled frame goes back
+	// before the last write: a peer that finishes reading the frame never
+	// observes this writer still holding a rental.
+	ct := sealed[:len(body)]
+	copy(o.tag[:], sealed[len(body):])
+	if _, err := c.nc.Write(hdr); err != nil {
+		frame.Release()
 		return err
 	}
-	_, err := c.nc.Write(ct.B)
-	ct.Release()
+	_, err := c.nc.Write(ct)
+	frame.Release()
 	if err != nil {
 		return err
 	}
-	_, err = c.nc.Write(tag)
+	_, err = c.nc.Write(o.tag[:])
 	return err
 }
 
 // ReadMsg receives, authenticates, decrypts, and decompresses one message.
 // The returned payload is freshly owned by the caller; compressed frames
-// decrypt through a pooled intermediate that never escapes.
+// open through a pooled intermediate that never escapes.
 func (c *Conn) ReadMsg() (MsgType, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	in := &c.in
+	hdr := in.hdr[:]
+	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		return 0, nil, err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
@@ -245,9 +241,6 @@ func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 	}
 	if hdr[4] != protoVersion {
 		return 0, nil, ErrBadVersion
-	}
-	if err := c.in.init(); err != nil {
-		return 0, nil, err
 	}
 	t := MsgType(hdr[5])
 	flags := binary.LittleEndian.Uint16(hdr[6:])
@@ -257,47 +250,44 @@ func (c *Conn) ReadMsg() (MsgType, []byte, error) {
 		return 0, nil, ErrTooLarge
 	}
 	// A compressed frame's ciphertext is scratch (the inflated payload is
-	// what escapes); an uncompressed frame's ciphertext becomes the payload
-	// and must be a plain allocation.
+	// what escapes); an uncompressed frame opens in place and becomes the
+	// payload, so it must be a plain allocation.
+	n := int(clen) + tagSize
 	var ct []byte
 	var ctBuf *bufpool.Buf
 	if flags&flagCompressed != 0 {
-		ctBuf = bufpool.Get(int(clen))
-		ct = ctBuf.B[:clen]
+		ctBuf = bufpool.Get(n)
+		ct = ctBuf.B[:n]
 	} else {
-		ct = make([]byte, clen)
+		ct = make([]byte, n)
 	}
 	if _, err := io.ReadFull(c.br, ct); err != nil {
 		ctBuf.Release()
 		return 0, nil, err
 	}
-	var tag [macSize]byte
-	if _, err := io.ReadFull(c.br, tag[:]); err != nil {
-		ctBuf.Release()
-		return 0, nil, err
-	}
-	if !hmac.Equal(tag[:], c.in.sum(hdr[:], ct)) {
+	// Authenticate first, under the header's own seq: a forged or
+	// corrupted frame is ErrBadMAC, and only an authentic frame out of
+	// order is ErrReplay (the transport is reliable, so any deviation is
+	// an attack or a bug, not loss).
+	pt, err := in.aead.Open(ct[:0], in.setNonce(seq), ct, hdr)
+	if err != nil {
 		ctBuf.Release()
 		return 0, nil, ErrBadMAC
 	}
-	// The MAC binds seq; strict in-order delivery rejects replays and
-	// drops (the underlying transport is reliable, so any deviation is
-	// an attack or a bug, not loss).
-	if seq != c.in.seq {
+	if seq != in.seq {
 		ctBuf.Release()
-		return 0, nil, fmt.Errorf("%w: got seq %d, want %d", ErrReplay, seq, c.in.seq)
+		return 0, nil, fmt.Errorf("%w: got seq %d, want %d", ErrReplay, seq, in.seq)
 	}
-	c.in.seq++
-	c.in.seal(seq, ct)
+	in.seq++
 	if flags&flagCompressed != 0 {
-		pt, err := Inflate(ct)
+		out, err := Inflate(pt)
 		ctBuf.Release()
 		if err != nil {
 			return 0, nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
-		return t, pt, nil
+		return t, out, nil
 	}
-	return t, ct, nil
+	return t, pt, nil
 }
 
 // Close closes the underlying connection.

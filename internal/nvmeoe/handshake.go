@@ -21,8 +21,8 @@ import (
 //	server -> device: ACK    { nonceS, HMAC(psk, "srv"|deviceID|nonceC|nonceS) }
 //	device -> server: CONFIRM{ HMAC(psk, "dev"|deviceID|nonceC|nonceS) }
 //
-// after which both sides derive direction-separated encryption and MAC
-// keys bound to the nonces. A host-resident attacker without the PSK can
+// after which both sides derive direction-separated AES-256-GCM keys bound
+// to the nonces. A host-resident attacker without the PSK can
 // neither impersonate the device (to poison the remote log) nor the server
 // (to black-hole offloads while acking them).
 
@@ -44,20 +44,20 @@ func authTag(psk []byte, label string, deviceID uint64, nonceC, nonceS []byte) [
 	return mac.Sum(nil)
 }
 
-func newSessionConn(nc net.Conn, psk []byte, nonceC, nonceS []byte, isDevice bool) *Conn {
-	c := &Conn{nc: nc, br: bufio.NewReaderSize(nc, 1<<16)}
-	c2sEnc := deriveKey(psk, nonceC, nonceS, dirDeviceToServer+"-enc")
-	c2sMac := deriveKey(psk, nonceC, nonceS, dirDeviceToServer+"-mac")
-	s2cEnc := deriveKey(psk, nonceC, nonceS, dirServerToDevice+"-enc")
-	s2cMac := deriveKey(psk, nonceC, nonceS, dirServerToDevice+"-mac")
-	if isDevice {
-		c.out = halfConn{encKey: c2sEnc, macKey: c2sMac}
-		c.in = halfConn{encKey: s2cEnc, macKey: s2cMac}
-	} else {
-		c.out = halfConn{encKey: s2cEnc, macKey: s2cMac}
-		c.in = halfConn{encKey: c2sEnc, macKey: c2sMac}
+func newSessionConn(nc net.Conn, psk []byte, nonceC, nonceS []byte, isDevice bool) (*Conn, error) {
+	c2s, err := newHalfConn(deriveKey(psk, nonceC, nonceS, dirDeviceToServer+"-enc"))
+	if err != nil {
+		return nil, err
 	}
-	return c
+	s2c, err := newHalfConn(deriveKey(psk, nonceC, nonceS, dirServerToDevice+"-enc"))
+	if err != nil {
+		return nil, err
+	}
+	c := &Conn{nc: nc, br: bufio.NewReaderSize(nc, 1<<16), out: c2s, in: s2c}
+	if !isDevice {
+		c.out, c.in = s2c, c2s
+	}
+	return c, nil
 }
 
 // DeviceHandshake runs the device side of the handshake over nc and
@@ -84,7 +84,7 @@ func DeviceHandshake(nc net.Conn, psk []byte, deviceID uint64) (*Conn, error) {
 	if err := writeRaw(nc, authTag(psk, "dev", deviceID, nonceC, nonceS)); err != nil {
 		return nil, err
 	}
-	return newSessionConn(nc, psk, nonceC, nonceS, true), nil
+	return newSessionConn(nc, psk, nonceC, nonceS, true)
 }
 
 // ServerHandshake runs the server side, returning the session and the
@@ -116,7 +116,11 @@ func ServerHandshake(nc net.Conn, lookupPSK func(deviceID uint64) ([]byte, bool)
 	if !hmac.Equal(devTag, authTag(psk, "dev", deviceID, nonceC, nonceS)) {
 		return nil, 0, fmt.Errorf("%w: device tag invalid", ErrHandshake)
 	}
-	return newSessionConn(nc, psk, nonceC, nonceS, false), deviceID, nil
+	c, err := newSessionConn(nc, psk, nonceC, nonceS, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c, deviceID, nil
 }
 
 // writeRaw sends a length-prefixed plaintext handshake record.

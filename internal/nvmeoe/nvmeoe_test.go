@@ -218,6 +218,106 @@ func (c *tamperConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// memConn is a net.Conn over memory: reads drain r, writes append to w.
+type memConn struct {
+	net.Conn
+	r bytes.Reader
+	w bytes.Buffer
+}
+
+func (c *memConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c *memConn) Write(p []byte) (int, error) { return c.w.Write(p) }
+
+// memSessions builds a device-side and a server-side Conn sharing one
+// session's keys, each over its own memConn: frames the device writes land
+// in devNC.w, and the server reads whatever is loaded into srvNC.r.
+func memSessions(tb testing.TB) (dev *Conn, devNC *memConn, srv *Conn, srvNC *memConn) {
+	tb.Helper()
+	nonceC, nonceS := bytes.Repeat([]byte{1}, nonceSize), bytes.Repeat([]byte{2}, nonceSize)
+	devNC, srvNC = &memConn{}, &memConn{}
+	dev, err := newSessionConn(devNC, testPSK, nonceC, nonceS, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err = newSessionConn(srvNC, testPSK, nonceC, nonceS, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dev, devNC, srv, srvNC
+}
+
+// TestHeaderTamperDetected flips one bit in each authenticated header
+// field a forger could usefully change — type, flags, length — and checks
+// the AEAD tag catches it: the header is additional data, not just a
+// framing hint.
+func TestHeaderTamperDetected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		off  int
+	}{
+		{"type", 5},
+		{"flags", 6},
+		{"length", 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev, devNC, srv, srvNC := memSessions(t)
+			if err := dev.WriteMsg(MsgSegment, []byte("header-bound-payload")); err != nil {
+				t.Fatal(err)
+			}
+			wire := devNC.w.Bytes()
+			wire[tc.off] ^= 1
+			// Padding lets a lengthened frame read to its (wrong) tag
+			// instead of hitting EOF.
+			srvNC.r.Reset(append(wire, make([]byte, 64)...))
+			if _, _, err := srv.ReadMsg(); !errors.Is(err, ErrBadMAC) {
+				t.Fatalf("flipped %s byte: err = %v, want ErrBadMAC", tc.name, err)
+			}
+		})
+	}
+}
+
+// TestVersionOneRejected: a frame with the retired version-1 header is
+// refused before any cipher work; there is no legacy decoder.
+func TestVersionOneRejected(t *testing.T) {
+	dev, devNC, srv, srvNC := memSessions(t)
+	if err := dev.WriteMsg(MsgSegment, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	wire := devNC.w.Bytes()
+	wire[4] = 1
+	srvNC.r.Reset(wire)
+	if _, _, err := srv.ReadMsg(); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("version-1 frame: err = %v, want ErrBadVersion", err)
+	}
+}
+
+// TestSamePayloadDifferentCiphertext: the nonce advances with the frame
+// sequence, so resending a payload never repeats its ciphertext or tag.
+func TestSamePayloadDifferentCiphertext(t *testing.T) {
+	dev, devNC, srv, srvNC := memSessions(t)
+	payload := []byte("identical payload, distinct frames")
+	var frames [][]byte
+	for i := 0; i < 2; i++ {
+		devNC.w.Reset()
+		if err := dev.WriteMsg(MsgSegment, payload); err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, bytes.Clone(devNC.w.Bytes()))
+	}
+	if len(frames[0]) != len(frames[1]) {
+		t.Fatalf("frame sizes %d, %d", len(frames[0]), len(frames[1]))
+	}
+	if bytes.Equal(frames[0][headerSize:], frames[1][headerSize:]) {
+		t.Fatal("same payload sealed to the same ciphertext twice")
+	}
+	srvNC.r.Reset(append(frames[0], frames[1]...))
+	for i := range frames {
+		if _, got, err := srv.ReadMsg(); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("frame %d: %q, %v", i, got, err)
+		}
+	}
+}
+
 func TestReplayRejected(t *testing.T) {
 	// Replaying a recorded frame must fail the sequence check even
 	// though its MAC is valid.

@@ -2,9 +2,11 @@ package remote
 
 import (
 	"fmt"
+	"net"
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/simclock"
 )
@@ -138,6 +140,48 @@ func TestFetchImageStreamEndToEnd(t *testing.T) {
 	// The session is still usable for ordinary requests after streaming.
 	if h, err := cl.Head(); err != nil || h.NextSeq != 40 {
 		t.Fatalf("post-stream head = %+v, %v", h, err)
+	}
+}
+
+// TestFetchImageStreamRejectsBadPage hand-crafts a full-page image chunk
+// (the cacheless MsgFetchChunk path) in which one page's bytes do not
+// match its hash: the client must fail the stream before the callback
+// ever sees the page, as the hash-reference path's ResolveCache does.
+func TestFetchImageStreamRejectsBadPage(t *testing.T) {
+	devEnd, srvEnd := net.Pipe()
+	defer devEnd.Close()
+	defer srvEnd.Close()
+	go func() {
+		conn, _, err := nvmeoe.ServerHandshake(srvEnd, func(uint64) ([]byte, bool) { return psk, true })
+		if err != nil {
+			return
+		}
+		if _, _, err := conn.ReadMsg(); err != nil { // the fetch request
+			return
+		}
+		seg := buildPageSegments(9, 1, 4)[0]
+		seg.Entries = nil
+		seg.Pages[2].Data = []byte("page-X") // same length, wrong content
+		if conn.WriteMsg(nvmeoe.MsgFetchChunk, nvmeoe.EncodeSegmentBlob(seg.Marshal())) != nil {
+			return
+		}
+		end := nvmeoe.StreamEnd{Chunks: 1, Pages: 4, NextLPN: 4}
+		conn.WriteMsg(nvmeoe.MsgFetchEnd, end.Marshal())
+	}()
+	cl, err := Dial(devEnd, psk, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := 0
+	_, err = cl.FetchImageStream(0, 100, 0, 8, nil, func(pages []oplog.PageRecord, _ ChunkStats) error {
+		applied += len(pages)
+		return nil
+	})
+	if err == nil {
+		t.Fatal("stream with a mismatched page hash succeeded")
+	}
+	if applied != 0 {
+		t.Fatalf("callback applied %d pages of a chunk that fails verification", applied)
 	}
 }
 

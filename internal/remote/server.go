@@ -808,6 +808,11 @@ func (c *Client) FetchImageStream(from, before, anchor uint64, chunkPages int, c
 			if err != nil {
 				return nvmeoe.StreamEnd{}, err
 			}
+			// The same trust boundary as ResolveCache.Add: a page is
+			// checked against its hash once, here, before fn applies it.
+			if err := seg.VerifyPages(); err != nil {
+				return nvmeoe.StreamEnd{}, err
+			}
 			cs := ChunkStats{WireBytes: len(body), LogicalBytes: len(raw), Literals: len(seg.Pages)}
 			if err := fn(seg.Pages, cs); err != nil {
 				return nvmeoe.StreamEnd{}, err
