@@ -189,7 +189,7 @@ func BenchmarkReopen(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md) ----------
+// --- Ablation benchmarks (each disables one design mechanism) --------------
 
 // BenchmarkAblationDetectors runs the detector-ablation matrix.
 func BenchmarkAblationDetectors(b *testing.B) {

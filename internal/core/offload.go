@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
+	"repro/internal/remote"
 	"repro/internal/simclock"
 )
 
@@ -325,18 +327,29 @@ func (r *RSSD) removeFromLPNIndex(re *retEntry) {
 
 // CheckpointNow ships a mapping snapshot to the remote server and logs it.
 // Recovery uses the newest checkpoint before the attack point to bound how
-// much log it must replay.
+// much log it must replay. A retry after a failed push re-pushes the same
+// checkpoint under the same Seq while nothing has been logged since, so a
+// transient fault keyed by the checkpoint (a first-touch tier fault) heals
+// on the retry instead of recurring under a fresh key. A transport failure
+// marks the session dead, so the next offload call redials it.
 func (r *RSSD) CheckpointNow(at simclock.Time) (simclock.Time, error) {
 	if r.client == nil {
 		return at, nil // checkpoints are only meaningful with a remote
 	}
-	snapshot := r.f.SnapshotL2P()
-	cp := nvmeoe.Checkpoint{L2P: snapshot}
-	e := r.log.Append(oplog.KindCheckpoint, at, 0, 0, 0, 0, oplog.HashData(cp.Marshal()))
-	cp.Seq = e.Seq
-	if err := r.client.PushCheckpoint(&cp); err != nil {
+	cp := r.unpushedCP
+	if cp == nil || cp.Seq+1 != r.log.NextSeq() {
+		cp = &nvmeoe.Checkpoint{L2P: r.f.SnapshotL2P()}
+		cp.Seq = r.log.Append(oplog.KindCheckpoint, at, 0, 0, 0, 0, oplog.HashData(cp.Marshal())).Seq
+	}
+	if err := r.client.PushCheckpoint(cp); err != nil {
+		r.unpushedCP = cp
+		var re *remote.RemoteError
+		if !errors.As(err, &re) {
+			r.sessionDead = true
+		}
 		return at, fmt.Errorf("core: checkpoint: %w", err)
 	}
+	r.unpushedCP = nil
 	r.stats.Checkpoints++
 	return at, nil
 }

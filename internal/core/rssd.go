@@ -26,6 +26,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/ftl"
 	"repro/internal/netsim"
+	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
@@ -237,6 +238,10 @@ type RSSD struct {
 	opsSinceCP     uint64
 	readCounter    uint64
 	lastOffloadErr error
+	// unpushedCP is the logged checkpoint whose snapshot never reached the
+	// server; CheckpointNow re-pushes it under its Seq while nothing has
+	// been logged after it.
+	unpushedCP *nvmeoe.Checkpoint
 
 	// Redial state: a transport-level failure marks the session dead; the
 	// background duty cycle then re-establishes it from cfg.Dial on an

@@ -178,14 +178,19 @@ func datapathVariant(s Scale, devices int) (DatapathVariantRow, error) {
 	row := DatapathVariantRow{Variant: "workers", Devices: devices}
 	opts := fleetOpts{saturate: true, tune: remote.Profile("mem")}
 	start := time.Now()
-	pass, err := runFleetOn(s, devices, opts, remote.NewStore(remote.NewMemStore()))
+	rig := newFleetRig(s, remote.NewStore(remote.NewMemStore()), remote.ClusterConfig{})
+	defer rig.close()
+	pass, err := runFleetOn(rig, devices, fleetReplayOps(s), opts)
 	if err != nil {
 		return row, err
 	}
+	pass.close()
 	wall := time.Since(start)
+	sum := pass.summary()
 	row.WallMs = float64(wall.Microseconds()) / 1000
-	row.PageOps = pass.pageOps
-	row.Segments = pass.segments
+	row.PageOps = sum.PageOps
+	row.Segments = sum.Segments
+	row.MeanLatUs = sum.MeanLatUs
 	var ackSum, simSum float64
 	var wireBytes uint64
 	for _, r := range pass.rows {
@@ -199,9 +204,6 @@ func datapathVariant(s Scale, devices int) (DatapathVariantRow, error) {
 		}
 	}
 	row.WireMB = float64(wireBytes) / float64(1<<20)
-	if pass.records > 0 {
-		row.MeanLatUs = float64(pass.totalLat) / float64(pass.records) / 1000
-	}
 	if row.Segments > 0 {
 		row.AckUs = ackSum / float64(row.Segments)
 	}

@@ -3,13 +3,10 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/bufpool"
 	"repro/internal/core"
-	"repro/internal/nand"
 	"repro/internal/nvmeoe"
-	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 )
@@ -114,35 +111,19 @@ func dedupPage(p []byte, contentID int) {
 	rng.Read(p)
 }
 
-// dedupDevice carries one device of a cohort across its power cycle.
-type dedupDevice struct {
-	cfg      core.Config
-	nand     *nand.Device
-	cut      uint64
-	want     map[uint64][]byte
-	endAt    simclock.Time
-	diverged int
-	rep      core.RestoreReport
-	verified bool
-}
-
 // runDedupSetup writes the image corpus, checkpoints, diverges, and powers
 // off one device.
-func runDedupSetup(s Scale, srv *remote.Server, deviceID uint64, imagePages, uniquePages int) (*dedupDevice, error) {
-	client, err := remote.Loopback(srv, PSK, deviceID)
+func runDedupSetup(rig *fleetRig, id uint64, imagePages, uniquePages int) (*poweredOff, error) {
+	s := rig.s
+	cfg := rig.deviceConfig(id, remote.Profile("mem"))
+	client, err := cfg.Dial()
 	if err != nil {
 		return nil, err
 	}
 	defer client.Close()
-
-	cfg := core.DefaultConfig()
-	cfg.FTL = s.ftlConfig()
-	cfg.DeviceID = deviceID
-	cfg.OffloadHighWater = 0.50
-	cfg.OffloadLowWater = 0.25
 	dev := core.New(cfg, client)
 	defer dev.Close()
-	d := &dedupDevice{cfg: cfg, want: make(map[uint64][]byte, imagePages)}
+	d := &poweredOff{dev: dev, want: make(map[uint64][]byte, imagePages)}
 
 	// Two write passes: v1 (the as-installed image) then v2 (an update
 	// wave, the pre-attack state). The overwrite retires every v1 page
@@ -172,120 +153,67 @@ func runDedupSetup(s Scale, srv *remote.Server, deviceID uint64, imagePages, uni
 	}
 	d.cut = dev.Log().NextSeq()
 
-	// Divergence: scramble a random slice of the image with
+	// Divergence: scramble dedupDivergePct of the image with
 	// device-private junk (an encryptor's write pattern — incompressible
 	// and unique, so neither codec nor dedup can help these pages; only
 	// the delta can, by being the only thing that needs streaming).
-	rng := rand.New(rand.NewSource(int64(900 + deviceID)))
+	rng := rand.New(rand.NewSource(int64(900 + id)))
 	junk := make([]byte, s.PageSize)
 	for _, lpn := range rng.Perm(imagePages)[:imagePages*dedupDivergePct/100] {
 		rng.Read(junk)
 		if at, err = dev.Write(uint64(lpn), junk, at); err != nil {
 			return nil, err
 		}
-		d.diverged++
 	}
 	if at, err = dev.OffloadNow(at); err != nil {
 		return nil, err
 	}
-	d.nand = dev.FTL().Device()
 	d.endAt = at
 	return d, nil
 }
 
-// runDedupRestore powers the device back on and restores the checkpointed
-// image through the shared restore harness, verifying page-identical.
-func runDedupRestore(srv *remote.Server, link *remote.RecoveryLink, d *dedupDevice, deviceID uint64, dedup bool) error {
-	rd, err := restoreRun{
-		Server: srv, Link: link, ChunkPages: 64,
-		Dedup: dedup, Delta: dedup,
-	}.run(d.cfg, d.nand, deviceID, d.cut, d.want, d.endAt)
-	if err != nil {
-		return err
-	}
-	d.rep = rd.rep
-	d.verified = rd.verified
-	rd.dev.Close()
-	rd.client.Close()
-	return nil
-}
-
 // runDedupCohort runs one full cohort (setup + concurrent restore) on its
-// own store and server, returning the cohort stats plus the store handle.
-func runDedupCohort(s Scale, devices, imagePages, uniquePages int, dedup bool) (DedupCohort, *remote.Store, *remote.Server, []*dedupDevice, error) {
+// own rig, returning the cohort stats and the restored devices.
+func runDedupCohort(rig *fleetRig, devices, imagePages, uniquePages int, dedup bool) (DedupCohort, []*poweredOff, error) {
 	co := DedupCohort{Dedup: dedup}
-	store := remote.NewStore(remote.NewMemStore())
-	srv := remote.NewServer(store, PSK)
-	link := remote.NewRecoveryLink()
-
-	devs := make([]*dedupDevice, devices)
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
-	for i := 0; i < devices; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			devs[i], errs[i] = runDedupSetup(s, srv, uint64(i+1), imagePages, uniquePages)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return co, nil, nil, nil, fmt.Errorf("device %d setup: %w", i+1, err)
-		}
+	devs := make([]*poweredOff, devices)
+	err := eachDevice(devices, func(i int) (err error) {
+		devs[i], err = runDedupSetup(rig, uint64(i+1), imagePages, uniquePages)
+		return err
+	})
+	if err != nil {
+		return co, nil, fmt.Errorf("setup: %w", err)
 	}
 	// Leak check around the restore storm: the outstanding-buffer gauge
 	// may move only by the pooled pages the surviving NAND arrays hold
 	// for restored flash content.
-	poolBase := bufpool.Outstanding()
-	var resBase int64
-	for _, d := range devs {
-		resBase += d.nand.HeldPageBufs()
+	mark := markPool(poweredDevs(devs))
+	rr := restoreRun{Link: remote.NewRecoveryLink(), ChunkPages: 64, Dedup: dedup, Delta: dedup}
+	err = rr.restoreAll(rig, devs, func(i int) core.Config { return rig.deviceConfig(uint64(i+1), remote.Profile("mem")) })
+	if err != nil {
+		return co, nil, fmt.Errorf("restore: %w", err)
 	}
-	for i := 0; i < devices; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = runDedupRestore(srv, link, devs[i], uint64(i+1), dedup)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return co, nil, nil, nil, fmt.Errorf("device %d restore: %w", i+1, err)
-		}
-	}
-	var resNow int64
-	for _, d := range devs {
-		resNow += d.nand.HeldPageBufs()
-	}
-	if drift := bufpool.Outstanding().Sub(poolBase).Total() - (resNow - resBase); drift != 0 {
-		return co, nil, nil, nil, fmt.Errorf(
+	if drift := mark.drift(); drift != 0 {
+		return co, nil, fmt.Errorf(
 			"bufpool outstanding-buffer gauge drifted %+d beyond NAND residency across the restore cohort", drift)
 	}
 
-	var totalRTO, maxRTO simclock.Duration
 	var wire uint64
 	var chunks int
 	for _, d := range devs {
-		totalRTO += d.rep.RTO
-		if d.rep.RTO > maxRTO {
-			maxRTO = d.rep.RTO
-		}
 		wire += d.rep.BytesWire
 		chunks += d.rep.Chunks
 		co.LiteralPages += d.rep.PagesLiteral
 		co.RefPages += d.rep.PagesRef
 		co.Resumes += d.rep.Resumes
 	}
-	co.MeanRTOms = float64(totalRTO) / float64(devices) / 1e6
-	co.MaxRTOms = float64(maxRTO) / 1e6
+	co.MeanRTOms, co.MaxRTOms = restoreRTO(devs)
 	co.WireMiB = float64(wire) / float64(1<<20)
 	co.MeanChunks = float64(chunks) / float64(devices)
 	if t := co.LiteralPages + co.RefPages; t > 0 {
 		co.HitRate = float64(co.RefPages) / float64(t)
 	}
-	return co, store, srv, devs, nil
+	return co, devs, nil
 }
 
 // dedupRTOModel projects the measured per-device restore onto an N-device
@@ -314,60 +242,50 @@ func DedupRestore(s Scale, devices int) (*DedupResult, error) {
 
 	// Size the image from the device geometry, bounded by the scale's
 	// replay budget so -short stays CI-sized.
-	probe := core.DefaultConfig()
-	probe.FTL = s.ftlConfig()
-	logical := int(core.New(probe, nil).LogicalPages())
-	imagePages := logical / 2
-	if cap := s.TraceOps / 2; imagePages > cap {
-		imagePages = cap
-	}
-	uniquePages := imagePages / dedupDupFactor
-	if uniquePages < 1 {
-		uniquePages = 1
-	}
+	imagePages := min(logicalPages(s)/2, s.TraceOps/2)
+	uniquePages := max(imagePages/dedupDupFactor, 1)
 
-	full, _, _, fullDevs, err := runDedupCohort(s, devices, imagePages, uniquePages, false)
+	fullRig := newFleetRig(s, remote.NewStore(remote.NewMemStore()), remote.ClusterConfig{})
+	full, fullDevs, err := runDedupCohort(fullRig, devices, imagePages, uniquePages, false)
+	fullRig.close()
 	if err != nil {
 		return nil, fmt.Errorf("full cohort: %w", err)
 	}
-	dedup, store, srv, dedupDevs, err := runDedupCohort(s, devices, imagePages, uniquePages, true)
+	rig := newFleetRig(s, remote.NewStore(remote.NewMemStore()), remote.ClusterConfig{})
+	defer rig.close()
+	dedup, dedupDevs, err := runDedupCohort(rig, devices, imagePages, uniquePages, true)
 	if err != nil {
 		return nil, fmt.Errorf("dedup cohort: %w", err)
 	}
 
 	m := DedupMeasured{
-		Devices:     devices,
-		ImagePages:  imagePages,
-		UniquePages: uniquePages,
-		Full:        full,
-		Dedup:       dedup,
-		AllVerified: true,
-		ChainsOK:    true,
+		Devices:       devices,
+		ImagePages:    imagePages,
+		UniquePages:   uniquePages,
+		DivergedPages: imagePages * dedupDivergePct / 100,
+		Full:          full,
+		Dedup:         dedup,
+		AllVerified:   true,
+		ChainsOK:      true,
 	}
-	var diverged int
 	for _, d := range append(fullDevs, dedupDevs...) {
 		if !d.verified {
 			m.AllVerified = false
 		}
 	}
-	for _, d := range dedupDevs {
-		diverged += d.diverged
-	}
-	m.DivergedPages = diverged / devices
 	if full.WireMiB > 0 {
 		m.WireRatio = dedup.WireMiB / full.WireMiB
 	}
-	for i := 0; i < devices; i++ {
+	for i, d := range dedupDevs {
 		id := uint64(i + 1)
-		entries := store.Entries(id, 0, store.Head(id).NextSeq)
-		if err := oplog.VerifyChain(entries, [oplog.HashSize]byte{}); err != nil {
+		if _, _, err := rig.audit(id, d.dev); err != nil {
 			m.ChainsOK = false
 		}
-		rs := srv.RecoveryStats(id)
+		rs := rig.cluster.Server(0).RecoveryStats(id)
 		m.ServerPagesLiteral += rs.PagesLiteral
 		m.ServerPagesRef += rs.PagesRef
 	}
-	ds := store.Dedup()
+	ds := rig.store.Dedup()
 	m.StoreUniquePages = ds.UniquePages
 	m.StoreTotalRefs = ds.TotalRefs
 	m.StoreHitRate = ds.HitRate()

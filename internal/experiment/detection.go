@@ -72,7 +72,8 @@ type AblationVariant struct {
 }
 
 // DetectionAblations builds the detector-ablation variants: each disables
-// one mechanism DESIGN.md calls out, to show it is load-bearing.
+// one detection mechanism (the cumulative-victim detector, the sliding
+// window detector, or the zero-wipe signal), to show it is load-bearing.
 func DetectionAblations(s Scale) []AblationVariant {
 	base := detectConfig(s)
 

@@ -2,9 +2,9 @@
 // per table, figure, and performance claim of the paper, runnable both
 // from cmd/rssdbench and from the root-level Go benchmarks.
 //
-// DESIGN.md carries the experiment index (what each experiment reproduces
-// and which modules it exercises); EXPERIMENTS.md records paper-reported
-// versus measured results.
+// The README describes each experiment under the paper claim it
+// reproduces; rssdbench -json records the measured results as
+// BENCH_<name>.json.
 package experiment
 
 import (

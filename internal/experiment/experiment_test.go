@@ -7,7 +7,7 @@ import (
 
 // The experiment tests assert the *shape* of the paper's results at small
 // scale: who wins, by roughly what factor, and which defenses hold. The
-// full-scale numbers live in EXPERIMENTS.md via cmd/rssdbench.
+// full-scale numbers come from cmd/rssdbench (BENCH_<name>.json).
 
 func TestFig2RetentionShape(t *testing.T) {
 	rows, err := Fig2Retention(SmallScale())

@@ -7,14 +7,11 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/batch"
 	"repro/internal/core"
-	"repro/internal/detect"
 	"repro/internal/host"
 	"repro/internal/metrics"
 	"repro/internal/remote"
 	"repro/internal/simclock"
-	"repro/internal/workload"
 )
 
 // The fleet experiment is the end-to-end exercise of the asynchronous
@@ -98,14 +95,47 @@ type FleetResult struct {
 	Cluster *FleetClusterResult `json:",omitempty"`
 }
 
-// fleetPass is one fleet execution (async or baseline).
+// fleetPass is one fleet execution. Its devices stay open for the
+// caller's audit; close releases them.
 type fleetPass struct {
-	rows     []FleetDeviceRow
-	wall     time.Duration
-	totalLat simclock.Duration
-	records  int
-	pageOps  int
-	segments uint64
+	rows []FleetDeviceRow
+	devs []*core.RSSD
+	wall time.Duration
+}
+
+func (p *fleetPass) close() {
+	for _, d := range p.devs {
+		d.Close()
+	}
+}
+
+// summary aggregates the pass: detection coverage, host work, and the
+// record-weighted mean host batch latency.
+func (p *fleetPass) summary() FleetSummary {
+	sum := FleetSummary{Devices: len(p.rows), WallMs: float64(p.wall.Microseconds()) / 1000}
+	records := 0
+	var totalLat simclock.Duration
+	for _, row := range p.rows {
+		if row.Attacked {
+			sum.Attacked++
+			if row.Detected {
+				sum.Caught++
+			}
+		}
+		sum.FalseAlerts += row.FalseAlerts
+		sum.PageOps += row.PageOps
+		sum.Segments += row.Segments
+		records += row.Records
+		totalLat += simclock.Duration(row.MeanLatUs * 1000 * float64(row.Records))
+	}
+	if records > 0 {
+		sum.MeanLatUs = float64(totalLat) / float64(records) / 1000
+	}
+	if secs := p.wall.Seconds(); secs > 0 {
+		sum.PageOpsPerSec = float64(sum.PageOps) / secs
+		sum.SegmentsPerSec = float64(sum.Segments) / secs
+	}
+	return sum
 }
 
 // fleetOpts tunes one fleet pass.
@@ -118,6 +148,10 @@ type fleetOpts struct {
 	// runs (the default) measure latency under realistic arrival gaps.
 	saturate bool
 	tune     remote.BackendProfile
+	// hold, when set, is called once by every device one third of the way
+	// through its replay, or as it fails before that point: the cluster
+	// pass's kill barrier.
+	hold func()
 }
 
 // Fleet runs the fleet scenario. With servers <= 1 it is the classic
@@ -133,158 +167,107 @@ func Fleet(s Scale, devices, servers int) (*FleetResult, error) {
 		return fleetCluster(s, devices, servers)
 	}
 	s = fleetScale(s)
-	async, err := runFleet(s, devices, false, true)
+	async, err := runFleet(s, devices, fleetOpts{withAttacks: true, tune: remote.Profile("mem")})
 	if err != nil {
 		return nil, fmt.Errorf("fleet async: %w", err)
 	}
-	base, err := runFleet(s, devices, true, false)
+	base, err := runFleet(s, devices, fleetOpts{syncOffload: true, tune: remote.Profile("mem")})
 	if err != nil {
 		return nil, fmt.Errorf("fleet sync baseline: %w", err)
 	}
-	sum := FleetSummary{
-		Devices:  devices,
-		PageOps:  async.pageOps,
-		Segments: async.segments,
-		WallMs:   float64(async.wall.Microseconds()) / 1000,
-	}
-	for _, row := range async.rows {
-		if row.Attacked {
-			sum.Attacked++
-			if row.Detected {
-				sum.Caught++
-			}
-		}
-		sum.FalseAlerts += row.FalseAlerts
-	}
-	if async.records > 0 {
-		sum.MeanLatUs = float64(async.totalLat) / float64(async.records) / 1000
-	}
-	if base.records > 0 {
-		sum.SyncMeanLatUs = float64(base.totalLat) / float64(base.records) / 1000
-	}
+	sum := async.summary()
+	sum.SyncMeanLatUs = base.summary().MeanLatUs
 	if sum.MeanLatUs > 0 {
 		sum.OverlapSpeedup = sum.SyncMeanLatUs / sum.MeanLatUs
-	}
-	if secs := async.wall.Seconds(); secs > 0 {
-		sum.PageOpsPerSec = float64(async.pageOps) / secs
-		sum.SegmentsPerSec = float64(async.segments) / secs
 	}
 	return &FleetResult{Rows: async.rows, Summary: sum}, nil
 }
 
-// runFleet executes one pass over the default in-memory tier.
-func runFleet(s Scale, devices int, syncOffload, withAttacks bool) (*fleetPass, error) {
-	opts := fleetOpts{syncOffload: syncOffload, withAttacks: withAttacks, tune: remote.Profile("mem")}
-	return runFleetOn(s, devices, opts, remote.NewStore(remote.NewMemStore()))
+// fleetReplayOps is the measured replay length of a single-server fleet
+// device.
+func fleetReplayOps(s Scale) int { return max(s.TraceOps/8, 400) }
+
+// runFleet executes one single-server pass over the in-memory tier.
+func runFleet(s Scale, devices int, opts fleetOpts) (*fleetPass, error) {
+	rig := newFleetRig(s, remote.NewStore(remote.NewMemStore()), remote.ClusterConfig{})
+	defer rig.close()
+	pass, err := runFleetOn(rig, devices, fleetReplayOps(s), opts)
+	if err != nil {
+		return nil, err
+	}
+	pass.close()
+	return pass, nil
 }
 
-// runFleetOn executes one pass against the given store (any storage tier):
-// every device runs concurrently against one shared server, replaying its
-// benign trace and (when opts.withAttacks) its assigned ransomware
-// variant. The retention experiment reuses the same pass per backend tier
-// with that tier's watermark/queue profile; the datapath experiment reuses
-// it for its saturated encode-worker replay.
-func runFleetOn(s Scale, devices int, opts fleetOpts, store *remote.Store) (*fleetPass, error) {
+// runFleetOn executes one pass through rig: every device runs
+// concurrently, replaying replayOps benign records and (when
+// opts.withAttacks) its assigned ransomware variant. The retention
+// experiment runs it per backend tier with that tier's watermark/queue
+// profile; the datapath experiment for its saturated encode-worker
+// replay; the cluster pass with its kill barrier.
+func runFleetOn(rig *fleetRig, devices, replayOps int, opts fleetOpts) (*fleetPass, error) {
 	if devices <= 0 {
 		devices = 8
 	}
-	srv := remote.NewServer(store, PSK)
-	engine := detect.NewEngine(detectConfig(s))
-	engine.Attach(store)
-
-	rows := make([]FleetDeviceRow, devices)
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
+	clients, err := rig.dialInOrder(devices)
+	if err != nil {
+		return nil, err
+	}
+	p := &fleetPass{rows: make([]FleetDeviceRow, devices), devs: make([]*core.RSSD, devices)}
 	start := time.Now()
-	attackIdx := 0
-	for i := 0; i < devices; i++ {
+	err = eachDevice(devices, func(i int) (err error) {
 		var atk attack.Attack
-		if opts.withAttacks && i%2 == 1 {
-			atk = makeAttack(fleetAttacks[attackIdx%len(fleetAttacks)])
-			attackIdx++
+		if opts.withAttacks {
+			atk = fleetAttack(i)
 		}
-		wg.Add(1)
-		go func(i int, atk attack.Attack) {
-			defer wg.Done()
-			rows[i], errs[i] = runFleetDevice(s, srv, engine, uint64(i+1), i, atk, opts)
-		}(i, atk)
+		p.rows[i], p.devs[i], err = runFleetDevice(rig, clients[i], i, atk, replayOps, opts)
+		return err
+	})
+	p.wall = time.Since(start)
+	if err != nil {
+		p.close()
+		return nil, err
 	}
-	wg.Wait()
-	pass := &fleetPass{rows: rows, wall: time.Since(start)}
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("device %d: %w", i+1, errs[i])
-		}
-	}
-	for _, row := range rows {
-		pass.records += row.Records
-		pass.pageOps += row.PageOps
-		pass.segments += row.Segments
-		pass.totalLat += simclock.Duration(row.MeanLatUs * 1000 * float64(row.Records))
-	}
-	return pass, nil
+	return p, nil
 }
 
 // runFleetDevice drives one device of the fleet: benign replay (measured),
 // then the assigned attack (streamed to detection), then a final flush.
-func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID uint64, idx int, atk attack.Attack, opts fleetOpts) (FleetDeviceRow, error) {
-	row := FleetDeviceRow{Device: deviceID}
-	client, err := remote.Loopback(srv, PSK, deviceID)
-	if err != nil {
-		return row, err
-	}
-	defer client.Close()
-
-	cfg := core.DefaultConfig()
-	cfg.FTL = s.ftlConfig()
-	cfg.DeviceID = deviceID
+// The device starts on client and heals a cut session through the
+// cluster's placement-aware redial path. It is returned open.
+func runFleetDevice(rig *fleetRig, client *remote.Client, idx int, atk attack.Attack, replayOps int, opts fleetOpts) (FleetDeviceRow, *core.RSSD, error) {
+	s := rig.s
+	id := uint64(idx + 1)
+	row := FleetDeviceRow{Device: id}
+	hold := sync.OnceFunc(func() {
+		if opts.hold != nil {
+			opts.hold()
+		}
+	})
+	defer hold() // a device failing before its barrier must still release it
+	cfg := rig.deviceConfig(id, opts.tune)
 	cfg.SyncOffload = opts.syncOffload
-	// Fleet devices drain eagerly (the tier profile's watermarks sit well
-	// below the solo-device defaults): a device backing a shared server
-	// keeps its retention backlog small, which also keeps the offload
-	// pipeline — the thing this experiment measures — continuously busy.
-	// High-latency tiers get a deeper staging queue from their profile so
-	// the long acks stay hidden behind host I/O.
-	cfg.OffloadHighWater = opts.tune.OffloadHighWater
-	cfg.OffloadLowWater = opts.tune.OffloadLowWater
-	cfg.OffloadQueueDepth = opts.tune.OffloadQueueDepth
 	dev := core.New(cfg, client)
-	defer dev.Close()
 	fs := host.NewFlatFS(dev, simclock.NewClock())
-
-	profName := fleetProfiles[idx%len(fleetProfiles)]
+	profName, g, err := fleetGenerator(s, dev, idx, 1000)
 	row.Role = profName
-	prof, ok := workload.ProfileByName(profName)
-	if !ok {
-		return row, fmt.Errorf("unknown workload %q", profName)
+	if err != nil {
+		return row, dev, err
 	}
 
 	// Phase 1 — benign replay through the batched datapath, measured.
-	replayOps := s.TraceOps / 8
-	if replayOps < 400 {
-		replayOps = 400
-	}
-	g := workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), int64(1000+idx))
 	h := metrics.NewHistogram(0)
-	var ops []batch.Op
-	var end simclock.Time
-	for j := 0; j < replayOps; j++ {
-		rec := g.Next()
-		ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
-		if len(ops) == 0 {
-			continue
-		}
-		submitAt := rec.At
-		if opts.saturate {
-			submitAt = end // back-to-back: the device, not the trace, sets the pace
-		}
-		done, err := submitRecord(dev, ops, submitAt)
-		if err != nil {
-			return row, err
-		}
-		h.Observe(done.Sub(submitAt))
-		end = simclock.Max(end, done)
+	step := func(lat simclock.Duration, _ simclock.Time) {
+		h.Observe(lat)
 		row.Records++
+	}
+	end, err := replay(dev, g, replayOps/3, 0, 0, opts.saturate, step)
+	if err != nil {
+		return row, dev, err
+	}
+	hold()
+	if end, err = replay(dev, g, replayOps-replayOps/3, end, 0, opts.saturate, step); err != nil {
+		return row, dev, err
 	}
 	row.MeanLatUs = float64(h.Mean()) / 1000
 	row.P99LatUs = float64(h.Percentile(99)) / 1000
@@ -299,27 +282,27 @@ func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID
 		fs.Clock().AdvanceTo(end)
 		rng := rand.New(rand.NewSource(int64(77 + idx)))
 		if _, _, err := seedAndSnapshot(fs, rng, s); err != nil {
-			return row, err
+			return row, dev, err
 		}
 		// Flush the pre-attack history: anything detection flags in it is
 		// a false alert, not attack coverage.
 		if _, err := dev.OffloadNow(fs.Clock().Now()); err != nil {
-			return row, err
+			return row, dev, err
 		}
 		attackStart = dev.Log().NextSeq()
 		if _, err := atk.Run(fs, rng); err != nil {
-			return row, err
+			return row, dev, err
 		}
 	}
 
 	// Phase 3 — final flush so detection has seen the full history.
 	if _, err := dev.OffloadNow(fs.Clock().Now()); err != nil {
-		return row, err
+		return row, dev, err
 	}
 
 	st := dev.Stats()
 	// PageOps covers every phase (replay, corpus seeding, attack): the
-	// wall-clock throughput below divides by a wall that spans them all.
+	// wall-clock throughput divides by a wall that spans them all.
 	row.PageOps = int(st.HostWrites + st.HostReads + st.HostTrims)
 	row.SimMs = float64(simclock.Max(fs.Clock().Now(), end)) / float64(simclock.Millisecond)
 	row.Segments = st.OffloadSegments
@@ -331,17 +314,20 @@ func runFleetDevice(s Scale, srv *remote.Server, engine *detect.Engine, deviceID
 	if st.OffloadSegments > 0 {
 		row.AckLatUs = float64(st.OffloadAckTime) / float64(st.OffloadSegments) / 1000
 	}
-	for _, a := range engine.AlertsFor(deviceID) {
-		if a.AtSeq >= attackStart {
-			if !row.Detected {
-				row.Detected = true
-				row.OpsToAlert = a.AtSeq - attackStart
-			}
-		} else {
-			row.FalseAlerts++
-		}
+	row.Detected, row.OpsToAlert, row.FalseAlerts = rig.verdict(id, attackStart)
+	return row, dev, nil
+}
+
+// detectedCell is a report table's detection column: "caught", "MISSED"
+// for an attacked device detection never flagged, "-" for benign ones.
+func detectedCell(attacked, detected bool) string {
+	switch {
+	case detected:
+		return "caught"
+	case attacked:
+		return "MISSED"
 	}
-	return row, nil
+	return "-"
 }
 
 // RenderFleet renders the per-device table and the fleet summary.
@@ -350,12 +336,7 @@ func RenderFleet(res *FleetResult) string {
 		"mean lat µs", "p99 lat µs", "segs (replay/total)", "ack µs",
 		"q peak", "stalls", "detected", "ops to alert", "false alerts")
 	for _, r := range res.Rows {
-		det := "-"
-		if r.Detected {
-			det = "caught"
-		} else if r.Attacked {
-			det = "MISSED"
-		}
+		det := detectedCell(r.Attacked, r.Detected)
 		tb.AddRow(r.Device, r.Role, r.Records, r.PageOps,
 			r.MeanLatUs, r.P99LatUs,
 			fmt.Sprintf("%d/%d", r.ReplaySegments, r.Segments),

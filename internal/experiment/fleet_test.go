@@ -1,6 +1,9 @@
 package experiment
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestFleetScenario runs the full fleet — 8 devices, concurrent sessions,
 // streaming detection, sync baseline — at test scale and checks the
@@ -39,5 +42,22 @@ func TestFleetScenario(t *testing.T) {
 		if r.Segments == 0 {
 			t.Fatalf("device %d shipped nothing: %+v", r.Device, r)
 		}
+	}
+}
+
+// TestFleetDeterministic runs the same fleet twice: every row and summary
+// field but the wall-clock ones must repeat exactly, so placement, replay,
+// attack and detection outcomes are functions of the inputs alone.
+func TestFleetDeterministic(t *testing.T) {
+	run := func() *FleetResult {
+		res, err := Fleet(SmallScale(), 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Summary.WallMs, res.Summary.PageOpsPerSec, res.Summary.SegmentsPerSec = 0, 0, 0
+		return res
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("fleet runs diverged:\n%+v\n%+v", a, b)
 	}
 }

@@ -2,21 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/attack"
-	"repro/internal/batch"
-	"repro/internal/core"
-	"repro/internal/detect"
-	"repro/internal/host"
 	"repro/internal/metrics"
-	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
-	"repro/internal/workload"
 )
 
 // The cluster half of the fleet experiment: the same per-device RSSD
@@ -150,169 +140,67 @@ func fleetCluster(s Scale, devices, servers int) (*FleetResult, error) {
 			cres.ModelScaleUp = last.ModelSegsPerSec / first.ModelSegsPerSec
 		}
 	}
-
-	sum := FleetSummary{
-		Devices:  devices,
-		PageOps:  pass.pageOps,
-		Segments: pass.segments,
-		WallMs:   float64(pass.wall.Microseconds()) / 1000,
-	}
-	for _, row := range pass.rows {
-		if row.Attacked {
-			sum.Attacked++
-			if row.Detected {
-				sum.Caught++
-			}
-		}
-		sum.FalseAlerts += row.FalseAlerts
-	}
-	if pass.records > 0 {
-		sum.MeanLatUs = float64(pass.totalLat) / float64(pass.records) / 1000
-	}
-	if secs := pass.wall.Seconds(); secs > 0 {
-		sum.PageOpsPerSec = float64(pass.pageOps) / secs
-		sum.SegmentsPerSec = float64(pass.segments) / secs
-	}
 	rows := pass.rows
 	if devices > 64 {
 		rows = nil // keep the committed report compact at fleet scale
 	}
-	return &FleetResult{Rows: rows, Summary: sum, Cluster: cres}, nil
+	return &FleetResult{Rows: rows, Summary: pass.summary(), Cluster: cres}, nil
 }
 
 // runFleetClusterPass drives the full fleet through the cluster with one
 // injected server kill and verifies the durability contract afterwards.
 func runFleetClusterPass(s Scale, devices, servers int) (*fleetPass, *FleetClusterResult, error) {
-	store := remote.NewStore(remote.NewMemStore())
-	cluster := remote.NewCluster(store, remote.ClusterConfig{
+	rig := newFleetRig(s, remote.NewStore(remote.NewMemStore()), remote.ClusterConfig{
 		Servers: servers,
-		PSK:     PSK,
 		Server:  remote.ServerConfig{DecodeWorkers: 4},
 	})
-	defer cluster.Close()
-
-	// One detection engine per server; segments route to the current
-	// owner's engine and OnMove hands the device's window state over
-	// before routing can observe the new owner (cluster lock ordering).
-	engines := make([]*detect.Engine, servers)
-	for i := range engines {
-		engines[i] = detect.NewEngine(detectConfig(s))
-	}
-	var handoffs atomic.Int64
-	cluster.OnMove = func(dev uint64, from, to int) {
-		if from >= 0 && from < servers && to >= 0 && to < servers {
-			engines[from].Handoff(dev, engines[to])
-			handoffs.Add(1)
-		}
-	}
-	store.Subscribe(func(dev uint64, seg *oplog.Segment) {
-		owner, ok := cluster.Owner(dev)
-		if !ok || owner < 0 || owner >= servers {
-			owner = 0
-		}
-		engines[owner].Observe(dev, seg.Entries)
-	})
-
-	// Dial in device-ID order before any device runs: bounded-load
-	// placement is arrival-ordered, so concurrent first dials would let
-	// goroutine scheduling pick each device's server.
-	clients, err := dialInOrder(cluster, devices)
-	if err != nil {
-		return nil, nil, err
-	}
+	defer rig.close()
 
 	// The kill fires once every device has passed the one-third mark of
 	// its replay — genuinely mid-stream for the whole fleet — and every
 	// device holds at the barrier until the victim is drained, so the
 	// dead server's devices must heal through the redial path to finish.
-	var third sync.WaitGroup
-	third.Add(devices)
+	// The last device to arrive runs the kill.
+	var arrived atomic.Int64
 	killDone := make(chan struct{})
 	fail := &FleetFailover{KilledServer: -1}
-	go func() {
-		defer close(killDone)
-		third.Wait()
-		victim, ok := cluster.Owner(firstAttackedDevice(devices))
-		if !ok {
-			return
-		}
-		moves, err := cluster.Kill(victim)
-		if err != nil {
-			return
-		}
-		fail.KilledServer = victim
-		fail.DevicesRemapped = len(moves)
-	}()
-
-	rows := make([]FleetDeviceRow, devices)
-	devs := make([]*core.RSSD, devices)
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
-	start := time.Now()
-	attackIdx := 0
-	for i := 0; i < devices; i++ {
-		var atk attack.Attack
-		if i%2 == 1 {
-			atk = makeAttack(fleetAttacks[attackIdx%len(fleetAttacks)])
-			attackIdx++
-		}
-		wg.Add(1)
-		go func(i int, atk attack.Attack) {
-			defer wg.Done()
-			released := false
-			hold := func() {
-				if !released {
-					released = true
-					third.Done()
-					<-killDone
+	opts := fleetOpts{withAttacks: true, tune: remote.Profile("mem"), hold: func() {
+		if arrived.Add(1) == int64(devices) {
+			// Device 2 is the first attacked one (odd fleet indexes attack).
+			if victim, ok := rig.cluster.Owner(min(uint64(devices), 2)); ok {
+				if moves, err := rig.cluster.Kill(victim); err == nil {
+					fail.KilledServer, fail.DevicesRemapped = victim, len(moves)
 				}
 			}
-			// A device that errors out before its barrier must still
-			// release it, or the killer — and with it the whole fleet —
-			// waits forever.
-			defer func() {
-				if !released {
-					released = true
-					third.Done()
-				}
-			}()
-			rows[i], devs[i], errs[i] = runFleetClusterDevice(s, cluster, clients[i], engines, uint64(i+1), i, atk, hold, devices)
-		}(i, atk)
-	}
-	wg.Wait()
-	pass := &fleetPass{rows: rows, wall: time.Since(start)}
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, nil, fmt.Errorf("device %d: %w", i+1, errs[i])
+			close(killDone)
 		}
+		<-killDone
+	}}
+	pass, err := runFleetOn(rig, devices, clusterReplayOps(s, devices), opts)
+	if err != nil {
+		return nil, nil, err
 	}
+	defer pass.close()
 
 	// The durability contract, checked device by device: everything the
 	// device logged is in the store, everything the device believes was
 	// acked is present as full segments, and the hash chain verifies from
 	// genesis — across a server kill and every resulting redial.
-	for i, dev := range devs {
-		deviceID := uint64(i + 1)
+	for i, dev := range pass.devs {
 		st := dev.Stats()
 		fail.Redials += st.Redials
 		fail.RedialAttempts += st.RedialAttempts
 		fail.RedialWaitMs += float64(st.RedialWaitTime) / float64(simclock.Millisecond)
 		fail.ResumeGap += st.ResumeGap
-		want := dev.Log().NextSeq()
-		head := store.Head(deviceID).NextSeq
-		if head < want {
-			fail.EntriesLost += want - head
+		entries, segments, err := rig.audit(uint64(i+1), dev)
+		if err != nil {
+			return nil, nil, fmt.Errorf("device %d chain after failover: %w", i+1, err)
 		}
-		if acked, stored := st.OffloadSegments, uint64(store.DeviceStats(deviceID).Segments); acked > stored {
-			fail.SegmentsLost += int(acked - stored)
-		}
-		if err := oplog.VerifyChain(store.Entries(deviceID, 0, head), [oplog.HashSize]byte{}); err != nil {
-			return nil, nil, fmt.Errorf("device %d chain after failover: %w", deviceID, err)
-		}
+		fail.EntriesLost += entries
+		fail.SegmentsLost += segments
 		fail.ChainsVerified++
-		dev.Close()
 	}
-	fail.Handoffs = int(handoffs.Load())
+	fail.Handoffs = int(rig.handoffs.Load())
 	if fail.EntriesLost > 0 || fail.SegmentsLost > 0 {
 		// The zero-loss contract is the point of the failover design; a
 		// violation fails the run (and CI) rather than hiding in a report.
@@ -320,16 +208,9 @@ func runFleetClusterPass(s Scale, devices, servers int) (*fleetPass, *FleetClust
 			fail.SegmentsLost, fail.EntriesLost)
 	}
 
-	for i := range rows {
-		pass.records += rows[i].Records
-		pass.pageOps += rows[i].PageOps
-		pass.segments += rows[i].Segments
-		pass.totalLat += simclock.Duration(rows[i].MeanLatUs * 1000 * float64(rows[i].Records))
-	}
-
 	cres := &FleetClusterResult{Servers: servers, Devices: devices, Failover: *fail}
-	cres.SpreadMaxMin = spreadMaxMin(cluster.Spread())
-	for _, si := range cluster.Servers() {
+	cres.SpreadMaxMin = spreadMaxMin(rig.cluster.Spread())
+	for _, si := range rig.cluster.Servers() {
 		cres.ServerRows = append(cres.ServerRows, FleetServerRow{
 			Server:    si.ID,
 			Alive:     si.Alive,
@@ -343,140 +224,6 @@ func runFleetClusterPass(s Scale, devices, servers int) (*fleetPass, *FleetClust
 		})
 	}
 	return pass, cres, nil
-}
-
-// firstAttackedDevice returns the lowest attacked device ID (devices at
-// odd fleet index carry an attack, so device 2 in any fleet of >= 2).
-func firstAttackedDevice(devices int) uint64 {
-	if devices >= 2 {
-		return 2
-	}
-	return 1
-}
-
-// dialInOrder dials devices 1..n through the cluster one at a time, in
-// device-ID order, so placement is a function of the fleet alone. On a
-// failed dial it closes the sessions already open.
-func dialInOrder(cluster *remote.Cluster, n int) ([]*remote.Client, error) {
-	clients := make([]*remote.Client, n)
-	for d := range clients {
-		cl, err := cluster.Dial(uint64(d + 1))
-		if err != nil {
-			for _, c := range clients[:d] {
-				c.Close()
-			}
-			return nil, fmt.Errorf("dial device %d: %w", d+1, err)
-		}
-		clients[d] = cl
-	}
-	return clients, nil
-}
-
-// runFleetClusterDevice is runFleetDevice's cluster twin: the device starts
-// on client (from dialInOrder), redials through the placement-aware
-// factory, holds at the kill barrier one third of the way through its
-// replay, and relies on core's redial path — not the test harness — to
-// heal the session a kill cut.
-func runFleetClusterDevice(s Scale, cluster *remote.Cluster, client *remote.Client, engines []*detect.Engine, deviceID uint64, idx int, atk attack.Attack, hold func(), devices int) (FleetDeviceRow, *core.RSSD, error) {
-	row := FleetDeviceRow{Device: deviceID}
-	cfg := core.DefaultConfig()
-	cfg.FTL = s.ftlConfig()
-	cfg.DeviceID = deviceID
-	cfg.Dial = cluster.DialFunc(deviceID)
-	tune := remote.Profile("mem")
-	cfg.OffloadHighWater = tune.OffloadHighWater
-	cfg.OffloadLowWater = tune.OffloadLowWater
-	cfg.OffloadQueueDepth = tune.OffloadQueueDepth
-	dev := core.New(cfg, client)
-	fs := host.NewFlatFS(dev, simclock.NewClock())
-
-	profName := fleetProfiles[idx%len(fleetProfiles)]
-	row.Role = profName
-	prof, ok := workload.ProfileByName(profName)
-	if !ok {
-		return row, dev, fmt.Errorf("unknown workload %q", profName)
-	}
-
-	replayOps := clusterReplayOps(s, devices)
-	g := workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), int64(1000+idx))
-	h := metrics.NewHistogram(0)
-	var ops []batch.Op
-	var end simclock.Time
-	held := false
-	for j := 0; j < replayOps; j++ {
-		if !held && j >= replayOps/3 {
-			held = true
-			hold()
-		}
-		rec := g.Next()
-		ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
-		if len(ops) == 0 {
-			continue
-		}
-		done, err := submitRecord(dev, ops, rec.At)
-		if err != nil {
-			return row, dev, err
-		}
-		h.Observe(done.Sub(rec.At))
-		end = simclock.Max(end, done)
-		row.Records++
-	}
-	if !held {
-		hold() // replay too short to hit the mark mid-loop
-	}
-	row.MeanLatUs = float64(h.Mean()) / 1000
-	row.P99LatUs = float64(h.Percentile(99)) / 1000
-	row.ReplaySegments = dev.Stats().OffloadSegments
-
-	attackStart := ^uint64(0)
-	if atk != nil {
-		row.Attacked = true
-		row.Role = profName + "+" + atk.Name()
-		fs.Clock().AdvanceTo(end)
-		rng := rand.New(rand.NewSource(int64(77 + idx)))
-		if _, _, err := seedAndSnapshot(fs, rng, s); err != nil {
-			return row, dev, err
-		}
-		if _, err := dev.OffloadNow(fs.Clock().Now()); err != nil {
-			return row, dev, err
-		}
-		attackStart = dev.Log().NextSeq()
-		if _, err := atk.Run(fs, rng); err != nil {
-			return row, dev, err
-		}
-	}
-
-	if _, err := dev.OffloadNow(fs.Clock().Now()); err != nil {
-		return row, dev, err
-	}
-
-	st := dev.Stats()
-	row.PageOps = int(st.HostWrites + st.HostReads + st.HostTrims)
-	row.SimMs = float64(simclock.Max(fs.Clock().Now(), end)) / float64(simclock.Millisecond)
-	row.Segments = st.OffloadSegments
-	row.QueuePeak = st.OffloadQueuePeak
-	row.Stalls = st.OffloadStalls
-	row.WireBytes = st.OffloadBytesWire
-	row.EncodeMs = float64(st.EncodeTime) / float64(simclock.Millisecond)
-	row.EncodeQPeak = st.EncodeQueuePeak
-	if st.OffloadSegments > 0 {
-		row.AckLatUs = float64(st.OffloadAckTime) / float64(st.OffloadSegments) / 1000
-	}
-	// A device's alerts may be split across engines when failover or
-	// rebalancing moved it mid-history.
-	for _, e := range engines {
-		for _, a := range e.AlertsFor(deviceID) {
-			if a.AtSeq >= attackStart {
-				if !row.Detected || a.AtSeq-attackStart < row.OpsToAlert {
-					row.Detected = true
-					row.OpsToAlert = a.AtSeq - attackStart
-				}
-			} else {
-				row.FalseAlerts++
-			}
-		}
-	}
-	return row, dev, nil
 }
 
 // spreadMaxMin reduces a device-count spread to its max/min ratio.
@@ -526,83 +273,39 @@ func fleetScaleCurve(s Scale, devices, servers int) ([]FleetScalePoint, error) {
 	}
 	const window = 4
 
-	type deviceTrace struct {
-		blobs    [][]byte
-		lastSeqs []uint64
-		logical  []int
-	}
-	traces := make([]deviceTrace, devices)
-	for d := range traces {
-		blobs, lastSeqs, logical := ingestSegments(s, uint64(d+1), segsPerDevice, pagesPerSeg)
-		traces[d] = deviceTrace{blobs: blobs, lastSeqs: lastSeqs, logical: logical}
-	}
+	traces := buildTraces(s, devices, segsPerDevice, pagesPerSeg)
 
 	var curve []FleetScalePoint
 	for _, k := range curveServerCounts(servers) {
-		store := remote.NewStore(remote.NewMemStore())
-		cluster := remote.NewCluster(store, remote.ClusterConfig{
+		rig := newFleetRig(s, remote.NewStore(remote.NewMemStore()), remote.ClusterConfig{
 			Servers: k,
-			PSK:     PSK,
 			Server:  remote.ServerConfig{DecodeWorkers: curveWorkers},
 		})
-
-		clients, err := dialInOrder(cluster, devices)
+		wall, err := rig.pushTraces(traces, window)
 		if err != nil {
-			cluster.Close()
+			rig.close()
 			return nil, fmt.Errorf("curve %d servers: %w", k, err)
-		}
-		errs := make([]error, devices)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for d := range traces {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				defer clients[d].Close()
-				errs[d] = clients[d].PushSegmentBlobs(traces[d].blobs, traces[d].lastSeqs, window)
-			}(d)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		for d, err := range errs {
-			if err != nil {
-				cluster.Close()
-				return nil, fmt.Errorf("curve %d servers, device %d: %w", k, d+1, err)
-			}
 		}
 
 		pt := FleetScalePoint{Servers: k, Devices: devices, DecodeLanes: curveWorkers}
 		pt.WallMs = float64(wall.Microseconds()) / 1000
-		for _, si := range cluster.Servers() {
+		for _, si := range rig.cluster.Servers() {
 			pt.Segments += si.Ingest.Segments
 			pt.WireMB += float64(si.Ingest.BytesWire) / 1e6
 			if si.QueuePeak > pt.QueuePeak {
 				pt.QueuePeak = si.QueuePeak
 			}
 		}
-		pt.SpreadMaxMin = spreadMaxMin(cluster.Spread())
+		pt.SpreadMaxMin = spreadMaxMin(rig.cluster.Spread())
 		if secs := wall.Seconds(); secs > 0 {
 			pt.SegsPerSec = float64(pt.Segments) / secs
 			pt.WireMBps = pt.WireMB / secs
 		}
 
-		// Model: each server's NIC serializes its own devices' blobs
-		// (round-robin, the fair approximation of interleaved sessions)
-		// into its own decode-lane pool; the aggregate finishes when the
+		// Model: each server's NIC serializes its own devices' blobs into
+		// its own decode-lane pool; the aggregate finishes when the
 		// slowest server does.
-		owners := make([]int, devices)
-		for d := range traces {
-			if owner, ok := cluster.Owner(uint64(d + 1)); ok {
-				owners[d] = owner
-			}
-		}
-		perServer := map[int][]ingestBlobMeta{}
-		for i := 0; i < segsPerDevice; i++ {
-			for d := range traces {
-				perServer[owners[d]] = append(perServer[owners[d]], ingestBlobMeta{
-					device: d + 1, wire: len(traces[d].blobs[i]), logical: traces[d].logical[i]})
-			}
-		}
+		perServer := rig.ownerMetas(traces)
 		makespan := 0.0
 		for _, metas := range perServer {
 			m := ingestModel(metas, curveWorkers, IngestNICMBps, IngestLaneMBps)
@@ -615,7 +318,7 @@ func fleetScaleCurve(s Scale, devices, servers int) ([]FleetScalePoint, error) {
 			pt.ModelSegsPerSec = float64(pt.Segments) / (makespan / 1000)
 			pt.ModelWireMBps = pt.WireMB / (makespan / 1000)
 		}
-		cluster.Close()
+		rig.close()
 		curve = append(curve, pt)
 	}
 	if len(curve) > 0 && curve[0].ModelSegsPerSec > 0 {

@@ -2,11 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/detect"
 	"repro/internal/metrics"
 	"repro/internal/nvmeoe"
 	"repro/internal/oplog"
@@ -112,7 +109,8 @@ type ingestBlobMeta struct {
 
 // ingestSegments builds one device's chained segment trace and its
 // codec-framed wire blobs.
-func ingestSegments(s Scale, deviceID uint64, segs, pagesPerSeg int) (blobs [][]byte, lastSeqs []uint64, logical []int) {
+func ingestSegments(s Scale, deviceID uint64, segs, pagesPerSeg int) segmentTrace {
+	var tr segmentTrace
 	l := oplog.New()
 	for sg := 0; sg < segs; sg++ {
 		seg := &oplog.Segment{DeviceID: deviceID, FirstSeq: l.NextSeq()}
@@ -129,11 +127,11 @@ func ingestSegments(s Scale, deviceID uint64, segs, pagesPerSeg int) (blobs [][]
 		}
 		seg.LastSeq = l.NextSeq()
 		raw := seg.Marshal()
-		blobs = append(blobs, nvmeoe.EncodeSegmentBlob(raw))
-		lastSeqs = append(lastSeqs, seg.LastSeq)
-		logical = append(logical, len(raw))
+		tr.blobs = append(tr.blobs, nvmeoe.EncodeSegmentBlob(raw))
+		tr.lastSeqs = append(tr.lastSeqs, seg.LastSeq)
+		tr.logical = append(tr.logical, len(raw))
 	}
-	return blobs, lastSeqs, logical
+	return tr
 }
 
 // ingestModel replays the blob trace through the deterministic event
@@ -200,55 +198,14 @@ func Ingest(s Scale, devices int) (*IngestResult, error) {
 	const workers = 32
 	const window = 8
 
-	st := remote.NewStore(remote.NewMemStore())
-	srv := remote.NewServer(st, PSK)
-	srv.Config = remote.ServerConfig{DecodeWorkers: workers}
-	engine := detect.NewEngine(detectConfig(s))
-	engine.Attach(st)
-
-	// Build every device's trace up front so the measured window is pure
-	// ingest, and collect blob metadata in round-robin wire order for the
-	// model (sessions interleave; round-robin is the fair approximation).
-	type deviceTrace struct {
-		blobs    [][]byte
-		lastSeqs []uint64
-		logical  []int
-	}
-	traces := make([]deviceTrace, devices)
-	for d := range traces {
-		blobs, lastSeqs, logical := ingestSegments(s, uint64(d+1), segsPerDevice, pagesPerSeg)
-		traces[d] = deviceTrace{blobs: blobs, lastSeqs: lastSeqs, logical: logical}
-	}
-	var metas []ingestBlobMeta
-	for i := 0; i < segsPerDevice; i++ {
-		for d := range traces {
-			metas = append(metas, ingestBlobMeta{
-				device: d + 1, wire: len(traces[d].blobs[i]), logical: traces[d].logical[i]})
-		}
-	}
-
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for d := range traces {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			cl, err := remote.Loopback(srv, PSK, uint64(d+1))
-			if err != nil {
-				errs[d] = err
-				return
-			}
-			defer cl.Close()
-			errs[d] = cl.PushSegmentBlobs(traces[d].blobs, traces[d].lastSeqs, window)
-		}(d)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	for d, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("ingest device %d: %w", d+1, err)
-		}
+	rig := newFleetRig(s, remote.NewStore(remote.NewMemStore()), remote.ClusterConfig{
+		Server: remote.ServerConfig{DecodeWorkers: workers},
+	})
+	defer rig.close()
+	traces := buildTraces(s, devices, segsPerDevice, pagesPerSeg)
+	wall, err := rig.pushTraces(traces, window)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: %w", err)
 	}
 
 	res := &IngestResult{}
@@ -257,7 +214,7 @@ func Ingest(s Scale, devices int) (*IngestResult, error) {
 	m.DecodeWorkers, m.Window = workers, window
 	m.WallMs = float64(wall.Microseconds()) / 1000
 	for d := 0; d < devices; d++ {
-		ist := srv.IngestStats(uint64(d + 1))
+		ist := rig.cluster.Server(0).IngestStats(uint64(d + 1))
 		m.Segments += ist.Segments
 		m.Errors += ist.Errors
 		m.WireMB += float64(ist.BytesWire) / 1e6
@@ -268,13 +225,13 @@ func Ingest(s Scale, devices int) (*IngestResult, error) {
 			m.QueuePeak = ist.DecodeQueuePeak
 		}
 	}
-	m.Alerts = len(engine.Alerts())
+	m.Alerts = len(rig.engines[0].Alerts())
 	if secs := wall.Seconds(); secs > 0 {
 		m.SegsPerSec = float64(m.Segments) / secs
 		m.WireMBps = m.WireMB / secs
 	}
 
-	res.Model = ingestModel(metas, workers, IngestNICMBps, IngestLaneMBps)
+	res.Model = ingestModel(rig.ownerMetas(traces)[0], workers, IngestNICMBps, IngestLaneMBps)
 
 	// Decode hot loop: the lane's codec step on a representative blob.
 	blob := traces[0].blobs[0]

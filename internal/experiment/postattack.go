@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/batch"
 	"repro/internal/forensic"
 	"repro/internal/metrics"
 	"repro/internal/recovery"
@@ -188,18 +187,12 @@ func OffloadCost(s Scale, names []string) ([]OffloadRow, error) {
 			return nil, err
 		}
 		g := workload.NewGenerator(prof, s.PageSize, rig.Dev.LogicalPages(), 29)
-		var ops []batch.Op
 		maxBacklog := 0
-		for i := 0; i < s.TraceOps; i++ {
-			rec := g.Next()
-			ops = recordBatch(g, rec, rig.Dev.LogicalPages(), ops[:0])
-			if _, err := submitRecord(rig.Dev, ops, rec.At); err != nil {
-				rig.Client.Close()
-				return nil, err
-			}
-			if b := rig.Dev.Stats().RetainedNow; b > maxBacklog {
-				maxBacklog = b
-			}
+		if _, err := replay(rig.Dev, g, s.TraceOps, 0, 0, false, func(simclock.Duration, simclock.Time) {
+			maxBacklog = max(maxBacklog, rig.Dev.Stats().RetainedNow)
+		}); err != nil {
+			rig.Client.Close()
+			return nil, err
 		}
 		st := rig.Dev.Stats()
 		remoteStats := rig.Store.DeviceStats(1)

@@ -85,38 +85,26 @@ type QoSResult struct {
 func runQoSCohort(s Scale, restorers, workers, lifecycle, imagePages, uniquePages int,
 	nicCfg netsim.Config, mode string) (QoSCohort, error) {
 	co := QoSCohort{Mode: mode, Restorers: restorers, Workers: workers, Lifecycle: lifecycle}
-	store := remote.NewStore(remote.NewMemStore())
-	srv := remote.NewServer(store, PSK)
-	nic := netsim.New(nicCfg)
-	srv.NIC = nic
-	link := remote.NewRecoveryLinkOn(nic)
+	rig := newFleetRig(s, remote.NewStore(remote.NewMemStore()), remote.ClusterConfig{NIC: nicCfg})
+	defer rig.close()
+	nic := rig.cluster.Server(0).NIC
 
 	// Phase A — every device (future restorers and workers alike) writes
 	// its image, checkpoints, diverges, and powers off. Setup offload runs
 	// on private per-device links (cfg.NIC unset), so the shared-NIC
 	// ledger measures only the contention window.
 	total := restorers + workers
-	devs := make([]*dedupDevice, total)
-	errs := make([]error, total)
-	var wg sync.WaitGroup
-	for i := 0; i < total; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			devs[i], errs[i] = runDedupSetup(s, srv, uint64(i+1), imagePages, uniquePages)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return co, fmt.Errorf("device %d setup: %w", i+1, err)
-		}
+	devs := make([]*poweredOff, total)
+	err := eachDevice(total, func(i int) (err error) {
+		devs[i], err = runDedupSetup(rig, uint64(i+1), imagePages, uniquePages)
+		return err
+	})
+	if err != nil {
+		return co, fmt.Errorf("setup: %w", err)
 	}
 	var wallStart simclock.Time // latest power-off: the lifecycle lanes' clock origin
 	for _, d := range devs {
-		if d.endAt > wallStart {
-			wallStart = d.endAt
-		}
+		wallStart = max(wallStart, d.endAt)
 	}
 
 	// Phase B — contention sources come up first, so every restore grant
@@ -141,128 +129,45 @@ func runQoSCohort(s Scale, restorers, workers, lifecycle, imagePages, uniquePage
 			}
 		}(i)
 	}
+	errs := make([]error, total)
 	for i := restorers; i < total; i++ {
 		ready.Add(1)
 		bg.Add(1)
 		go func(i int) {
 			defer bg.Done()
-			d := devs[i]
-			d.cfg.NIC = nic
-			deviceID := uint64(i + 1)
-			dial := func() (*remote.Client, error) { return remote.Loopback(srv, PSK, deviceID) }
-			d.cfg.Dial = dial
-			client, err := dial()
-			if err != nil {
-				errs[i] = err
-				ready.Done()
-				return
-			}
-			defer client.Close()
-			dev, err := core.Reopen(d.cfg, d.nand, client)
-			if err != nil {
-				errs[i] = err
-				ready.Done()
-				return
-			}
-			defer dev.Close()
-			rng := rand.New(rand.NewSource(int64(7000 + i)))
-			page := make([]byte, s.PageSize)
-			at := d.endAt
-			flush := func() bool {
-				if at, err = dev.OffloadNow(at); err != nil {
-					errs[i] = err
-					return false
-				}
-				return true
-			}
-			write := func() bool {
-				rng.Read(page)
-				if at, err = dev.Write(uint64(rng.Intn(imagePages)), page, at); err != nil {
-					errs[i] = err
-					return false
-				}
-				return true
-			}
-			// First burst + flush opens this device's offload flow on the
-			// shared NIC before any restore starts.
-			for j := 0; j < 64; j++ {
-				if !write() {
-					ready.Done()
-					return
-				}
-			}
-			if ok := flush(); !ok {
-				ready.Done()
-				return
-			}
-			ready.Done()
-			for j := 0; !stop.Load(); j++ {
-				if !write() {
-					return
-				}
-				if j%64 == 63 && !flush() {
-					return
-				}
-			}
-			flush()
+			errs[i] = qosWorker(rig, devs[i], i, imagePages, ready.Done, &stop)
 		}(i)
 	}
 	ready.Wait()
-	for i := restorers; i < total; i++ {
-		if errs[i] != nil {
-			stop.Store(true)
-			bg.Wait()
-			return co, fmt.Errorf("worker %d: %w", i+1, errs[i])
-		}
-	}
 
 	// Phase C — the restore wave: every restorer streams its image back
 	// concurrently, chunks sized to the NIC grant quantum. On contended
 	// cohorts the restorer's own post-restore offload churn rides the
 	// shared NIC too.
 	contended := workers > 0 || lifecycle > 0
-	for i := 0; i < restorers; i++ {
+	err = restoreRun{Link: remote.NewRecoveryLinkOn(nic)}.restoreAll(rig, devs[:restorers], func(i int) core.Config {
+		cfg := rig.deviceConfig(uint64(i+1), remote.Profile("mem"))
 		if contended {
-			devs[i].cfg.NIC = nic
+			cfg.NIC = nic
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d := devs[i]
-			rd, err := restoreRun{Server: srv, Link: link}.
-				run(d.cfg, d.nand, uint64(i+1), d.cut, d.want, d.endAt)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			d.rep = rd.rep
-			d.verified = rd.verified
-			rd.dev.Close()
-			rd.client.Close()
-		}(i)
-	}
-	wg.Wait()
+		return cfg
+	})
 	stop.Store(true)
 	bg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return co, fmt.Errorf("device %d: %w", i+1, err)
+	if err != nil {
+		return co, err
+	}
+	for i := restorers; i < total; i++ {
+		if errs[i] != nil {
+			return co, fmt.Errorf("worker %d: %w", i+1, errs[i])
 		}
 	}
 
 	co.Verified = true
-	var totalRTO, maxRTO simclock.Duration
 	for _, d := range devs[:restorers] {
-		totalRTO += d.rep.RTO
-		if d.rep.RTO > maxRTO {
-			maxRTO = d.rep.RTO
-		}
-		if !d.verified {
-			co.Verified = false
-		}
+		co.Verified = co.Verified && d.verified
 	}
-	co.MeanRTOms = float64(totalRTO) / float64(restorers) / 1e6
-	co.MaxRTOms = float64(maxRTO) / 1e6
+	co.MeanRTOms, co.MaxRTOms = restoreRTO(devs[:restorers])
 	co.Classes = nic.Stats()
 	granted, span, mbps := nic.Conservation()
 	co.GrantedMB = float64(granted) / 1e6
@@ -270,6 +175,51 @@ func runQoSCohort(s Scale, restorers, workers, lifecycle, imagePages, uniquePage
 	co.AggMBps = mbps
 	co.LineMBps = nic.LineMBps()
 	return co, nil
+}
+
+// qosWorker is one contending device: it reopens d on the shared NIC and
+// loops random writes with a flush every 64 until stop. It calls ready
+// exactly once: after its first flush, or as it fails before that.
+func qosWorker(rig *fleetRig, d *poweredOff, i, imagePages int, ready func(), stop *atomic.Bool) (err error) {
+	ready = sync.OnceFunc(ready)
+	defer ready()
+	cfg := rig.deviceConfig(uint64(i+1), remote.Profile("mem"))
+	cfg.NIC = rig.cluster.Server(0).NIC
+	client, err := cfg.Dial()
+	if err != nil {
+		return err
+	}
+	defer client.Close()
+	dev, err := core.Reopen(cfg, d.dev.FTL().Device(), client)
+	if err != nil {
+		return err
+	}
+	defer dev.Close()
+	rng := rand.New(rand.NewSource(int64(7000 + i)))
+	page := make([]byte, rig.s.PageSize)
+	at := d.endAt
+	step := func(j int) (err error) {
+		rng.Read(page)
+		if at, err = dev.Write(uint64(rng.Intn(imagePages)), page, at); err == nil && j%64 == 63 {
+			at, err = dev.OffloadNow(at)
+		}
+		return err
+	}
+	// The first burst and flush open this device's offload flow on the
+	// shared NIC before any restore starts.
+	for j := 0; j < 64; j++ {
+		if err := step(j); err != nil {
+			return err
+		}
+	}
+	ready()
+	for j := 0; !stop.Load(); j++ {
+		if err := step(j); err != nil {
+			return err
+		}
+	}
+	_, err = dev.OffloadNow(at)
+	return err
 }
 
 // QoSRun runs the shared-NIC QoS experiment: a restore storm against
@@ -284,10 +234,7 @@ func QoSRun(s Scale, devices int, nicCfg netsim.Config) (*QoSResult, error) {
 	// Image sizing: bounded well under the dedup experiment's — three
 	// cohorts re-run setup, and the contention window is what's measured,
 	// not the image haul.
-	probe := core.DefaultConfig()
-	probe.FTL = s.ftlConfig()
-	logical := int(core.New(probe, nil).LogicalPages())
-	imagePages := logical / 4
+	imagePages := logicalPages(s) / 4
 	if cap := s.TraceOps / 16; imagePages > cap {
 		imagePages = cap
 	}

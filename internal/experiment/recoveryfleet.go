@@ -5,19 +5,12 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/attack"
-	"repro/internal/batch"
-	"repro/internal/bufpool"
 	"repro/internal/core"
-	"repro/internal/detect"
 	"repro/internal/host"
 	"repro/internal/metrics"
-	"repro/internal/nand"
 	"repro/internal/netsim"
-	"repro/internal/oplog"
 	"repro/internal/remote"
 	"repro/internal/simclock"
-	"repro/internal/workload"
 )
 
 // The fleet recovery experiment is the paper's trusted post-attack
@@ -103,16 +96,6 @@ type RecoveryFleetResult struct {
 	Summary RecoverySummary
 }
 
-// recoveredDevice carries one device's state across the power cycle.
-type recoveredDevice struct {
-	cfg   core.Config
-	nand  *nand.Device
-	cut   uint64            // rollback point: log seq at the pre-attack snapshot
-	want  map[uint64][]byte // expected page contents at the cut
-	endAt simclock.Time     // device sim clock at power-off
-	row   RecoveryDeviceRow
-}
-
 // FleetRecovery runs the fleet power-cycle recovery scenario. Restores
 // ride the content-addressed path: hash-reference chunks
 // resolved from a device-side cache plus a checkpoint-anchored delta that
@@ -126,12 +109,9 @@ func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetRe
 		devices = 8
 	}
 	s = fleetScale(s)
-	store := remote.NewStore(remote.NewMemStore())
-	srv := remote.NewServer(store, PSK)
-	engine := detect.NewEngine(detectConfig(s))
-	engine.Attach(store)
-	nic := netsim.New(nicCfg)
-	srv.NIC = nic
+	rig := newFleetRig(s, remote.NewStore(remote.NewMemStore()), remote.ClusterConfig{NIC: nicCfg})
+	defer rig.close()
+	nic := rig.cluster.Server(0).NIC
 	link := remote.NewRecoveryLinkOn(nic) // restore class on the shared NIC
 
 	// The mid-restore disconnect victim: an attacked device when there is
@@ -142,27 +122,14 @@ func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetRe
 	}
 
 	// Phase A — workloads + attacks + streaming detection, concurrently.
-	devs := make([]*recoveredDevice, devices)
-	errs := make([]error, devices)
-	var wg sync.WaitGroup
-	attackIdx := 0
-	for i := 0; i < devices; i++ {
-		var atk attack.Attack
-		if i%2 == 1 {
-			atk = makeAttack(fleetAttacks[attackIdx%len(fleetAttacks)])
-			attackIdx++
-		}
-		wg.Add(1)
-		go func(i int, atk attack.Attack) {
-			defer wg.Done()
-			devs[i], errs[i] = runRecoverySetup(s, srv, engine, uint64(i+1), i, atk)
-		}(i, atk)
-	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("device %d setup: %w", i+1, errs[i])
-		}
+	rows := make([]RecoveryDeviceRow, devices)
+	devs := make([]*poweredOff, devices)
+	err := eachDevice(devices, func(i int) (err error) {
+		devs[i], err = runRecoverySetup(rig, i, &rows[i])
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("setup: %w", err)
 	}
 
 	// Phase B/C — power-cycle all N, then reopen + concurrent streamed
@@ -170,71 +137,56 @@ func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetRe
 	// device starts recovering at once: this is the fleet-wide incident.
 	// The outstanding-buffer gauge brackets the whole incident: it may
 	// move only by the pooled pages the surviving NAND arrays hold.
-	poolBase := bufpool.Outstanding()
-	var residencyBase int64
-	for _, d := range devs {
-		residencyBase += d.nand.HeldPageBufs()
-	}
+	mark := markPool(poweredDevs(devs))
 	// Restore-start barrier: no device streams until every device's first
 	// restore session is dialed, so the link's peak-sessions gauge reads
 	// the fleet size structurally — not by scheduling luck on a loaded
-	// host. The deferred once keeps a pre-dial failure from wedging the
+	// host. The deferred call keeps a pre-dial failure from wedging the
 	// survivors at the barrier.
 	var restoreGate sync.WaitGroup
 	restoreGate.Add(devices)
-	gateOnce := make([]sync.Once, devices)
-	for i := 0; i < devices; i++ {
+	err = eachDevice(devices, func(i int) error {
+		arrive := sync.OnceFunc(restoreGate.Done)
+		defer arrive()
 		// The reopened device's offload drain rides the same shared NIC the
 		// restore streams do — that cross-class traffic is what the QoS
 		// arbiter exists to schedule.
-		devs[i].cfg.NIC = nic
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer gateOnce[i].Do(restoreGate.Done)
-			errs[i] = runRecoveryRestore(srv, link, devs[i], uint64(i+1), i == chokeIdx, func() {
-				gateOnce[i].Do(restoreGate.Done)
+		cfg := rig.deviceConfig(uint64(i+1), remote.Profile("mem"))
+		cfg.NIC = nic
+		rr := restoreRun{Link: link, ChunkPages: 16, Dedup: true, Delta: true, Choke: i == chokeIdx,
+			Gate: func() {
+				arrive()
 				restoreGate.Wait()
-			})
-		}(i)
+			}}
+		return runRecoveryRestore(rig, rr, cfg, devs[i], &rows[i])
+	})
+	if err != nil {
+		return nil, fmt.Errorf("recovery: %w", err)
 	}
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("device %d recovery: %w", i+1, errs[i])
-		}
-	}
-	var residencyNow int64
-	for _, d := range devs {
-		residencyNow += d.nand.HeldPageBufs()
-	}
-	if drift := bufpool.Outstanding().Sub(poolBase).Total() - (residencyNow - residencyBase); drift != 0 {
+	if drift := mark.drift(); drift != 0 {
 		return nil, fmt.Errorf(
 			"bufpool outstanding-buffer gauge drifted %+d beyond NAND residency across the fleet recovery", drift)
 	}
 
+	sum := RecoverySummary{
+		Devices: devices, AllVerified: true, PeakSessions: link.PeakSessions(),
+		ChainsVerified: true,
+		QoS:            !nic.FIFO(), NICStats: nic.Stats(),
+	}
 	// Every device's remote evidence chain must still verify end to end
 	// after the restore churn — dedup interning must never disturb the
 	// chain the rollback is trusted on.
-	chainsOK := true
-	for i := 0; i < devices; i++ {
-		id := uint64(i + 1)
-		entries := store.Entries(id, 0, store.Head(id).NextSeq)
-		if err := oplog.VerifyChain(entries, [oplog.HashSize]byte{}); err != nil {
-			chainsOK = false
+	for i, d := range devs {
+		if _, _, err := rig.audit(uint64(i+1), d.dev); err != nil {
+			sum.ChainsVerified = false
 		}
 	}
-
-	rows := make([]RecoveryDeviceRow, devices)
-	sum := RecoverySummary{
-		Devices: devices, AllVerified: true, PeakSessions: link.PeakSessions(),
-		ChainsVerified: chainsOK,
-		QoS:            !nic.FIFO(), NICStats: nic.Stats(),
-	}
-	var totalRTO, maxRTO simclock.Duration
 	var logicalBytes uint64
-	for i, d := range devs {
-		rows[i] = d.row
+	for _, d := range devs {
+		logicalBytes += d.rep.BytesLogical
+	}
+	sum.MeanRTOms, sum.MaxRTOms = restoreRTO(devs)
+	for i := range rows {
 		r := &rows[i]
 		if r.Attacked {
 			sum.Attacked++
@@ -246,14 +198,8 @@ func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetRe
 		if !r.Verified {
 			sum.AllVerified = false
 		}
-		rto := simclock.Duration(r.RTOms * float64(simclock.Millisecond))
-		totalRTO += rto
-		if rto > maxRTO {
-			maxRTO = rto
-		}
 		sum.WireMiB += r.RestoreWireMiB
 		sum.LogicalMiB += r.RestoreLogicalMiB
-		logicalBytes += uint64(r.RestoreLogicalMiB * float64(1<<20))
 		sum.Resumes += r.Resumes
 		sum.TotalRedials += r.Redials
 		if r.DrainMs > sum.MaxDrainMs {
@@ -265,14 +211,12 @@ func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetRe
 	if total := sum.LiteralPages + sum.RefPages; total > 0 {
 		sum.DedupHitRate = float64(sum.RefPages) / float64(total)
 	}
-	ds := store.Dedup()
+	ds := rig.store.Dedup()
 	sum.StoreUniquePages = ds.UniquePages
 	sum.StoreTotalRefs = ds.TotalRefs
 	sum.StoreHitRate = ds.HitRate()
-	sum.MeanRTOms = float64(totalRTO) / float64(devices) / 1e6
-	sum.MaxRTOms = float64(maxRTO) / 1e6
-	if maxRTO > 0 {
-		sum.RestoreGBps = float64(logicalBytes) / maxRTO.Seconds() / 1e9
+	if sum.MaxRTOms > 0 {
+		sum.RestoreGBps = float64(logicalBytes) / (sum.MaxRTOms / 1e3) / 1e9
 	}
 	if sum.WireMiB > 0 {
 		sum.WireRatio = sum.LogicalMiB / sum.WireMiB
@@ -284,47 +228,27 @@ func FleetRecovery(s Scale, devices int, nicCfg netsim.Config) (*RecoveryFleetRe
 // replay, pre-attack snapshot + flush, then the assigned attack (or more
 // benign churn, so benign devices also have real rollback work), a final
 // flush, and the detection verdict.
-func runRecoverySetup(s Scale, srv *remote.Server, engine *detect.Engine, deviceID uint64, idx int, atk attack.Attack) (*recoveredDevice, error) {
-	client, err := remote.Loopback(srv, PSK, deviceID)
+func runRecoverySetup(rig *fleetRig, idx int, row *RecoveryDeviceRow) (*poweredOff, error) {
+	s := rig.s
+	id := uint64(idx + 1)
+	cfg := rig.deviceConfig(id, remote.Profile("mem"))
+	client, err := cfg.Dial()
 	if err != nil {
 		return nil, err
 	}
 	defer client.Close()
-
-	cfg := core.DefaultConfig()
-	cfg.FTL = s.ftlConfig()
-	cfg.DeviceID = deviceID
-	cfg.OffloadHighWater = 0.50
-	cfg.OffloadLowWater = 0.25
 	dev := core.New(cfg, client)
 	defer dev.Close()
 	fs := host.NewFlatFS(dev, simclock.NewClock())
-	d := &recoveredDevice{cfg: cfg}
-
-	profName := fleetProfiles[idx%len(fleetProfiles)]
-	d.row = RecoveryDeviceRow{Device: deviceID, Role: profName}
-	prof, ok := workload.ProfileByName(profName)
-	if !ok {
-		return nil, fmt.Errorf("unknown workload %q", profName)
+	profName, g, err := fleetGenerator(s, dev, idx, 4000)
+	*row = RecoveryDeviceRow{Device: id, Role: profName}
+	if err != nil {
+		return nil, err
 	}
-	replayOps := s.TraceOps / 16
-	if replayOps < 250 {
-		replayOps = 250
-	}
-	g := workload.NewGenerator(prof, s.PageSize, dev.LogicalPages(), int64(4000+idx))
-	var ops []batch.Op
-	var end simclock.Time
-	for j := 0; j < replayOps; j++ {
-		rec := g.Next()
-		ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
-		if len(ops) == 0 {
-			continue
-		}
-		done, err := submitRecord(dev, ops, rec.At)
-		if err != nil {
-			return nil, err
-		}
-		end = simclock.Max(end, done)
+	replayOps := max(s.TraceOps/16, 250)
+	end, err := replay(dev, g, replayOps, 0, 0, false, nil)
+	if err != nil {
+		return nil, err
 	}
 	fs.Clock().AdvanceTo(end)
 
@@ -343,13 +267,12 @@ func runRecoverySetup(s Scale, srv *remote.Server, engine *detect.Engine, device
 	if _, err := dev.CheckpointNow(fs.Clock().Now()); err != nil {
 		return nil, err
 	}
-	d.cut = dev.Log().NextSeq()
-	d.want = expectedPages(snap, extents, s.PageSize)
-	d.row.SnapshotPages = len(d.want)
+	d := &poweredOff{dev: dev, cut: dev.Log().NextSeq(), want: expectedPages(snap, extents, s.PageSize)}
+	row.SnapshotPages = len(d.want)
 
-	if atk != nil {
-		d.row.Attacked = true
-		d.row.Role = profName + "+" + atk.Name()
+	if atk := fleetAttack(idx); atk != nil {
+		row.Attacked = true
+		row.Role = profName + "+" + atk.Name()
 		if _, err := atk.Run(fs, rng); err != nil {
 			return nil, err
 		}
@@ -357,16 +280,9 @@ func runRecoverySetup(s Scale, srv *remote.Server, engine *detect.Engine, device
 		// Benign post-snapshot churn: legitimate overwrites the drill's
 		// fleet-wide rollback will discard, so benign devices restore real
 		// work too (and must stay false-alert free doing it).
-		at := fs.Clock().Now()
-		for j := 0; j < replayOps/2; j++ {
-			rec := g.Next()
-			ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
-			if len(ops) == 0 {
-				continue
-			}
-			if at, err = submitRecord(dev, ops, at); err != nil {
-				return nil, err
-			}
+		at, err := replay(dev, g, replayOps/2, fs.Clock().Now(), 0, true, nil)
+		if err != nil {
+			return nil, err
 		}
 		fs.Clock().AdvanceTo(at)
 	}
@@ -376,14 +292,7 @@ func runRecoverySetup(s Scale, srv *remote.Server, engine *detect.Engine, device
 	if _, err := dev.OffloadNow(fs.Clock().Now()); err != nil {
 		return nil, err
 	}
-	for _, a := range engine.AlertsFor(deviceID) {
-		if a.AtSeq >= d.cut {
-			d.row.Detected = true
-		} else {
-			d.row.FalseAlerts++
-		}
-	}
-	d.nand = dev.FTL().Device() // the flash array survives the power cycle
+	row.Detected, _, row.FalseAlerts = rig.verdict(id, d.cut)
 	d.endAt = fs.Clock().Now()
 	return d, nil
 }
@@ -392,33 +301,30 @@ func runRecoverySetup(s Scale, srv *remote.Server, engine *detect.Engine, device
 // flash, stream-restore the pre-attack image (resuming through a cut link
 // when choked), verify page-identical, then drain the restore backlog
 // across a simulated offload outage via the redial path.
-func runRecoveryRestore(srv *remote.Server, link *remote.RecoveryLink, d *recoveredDevice, deviceID uint64, choke bool, gate func()) error {
-	rd, err := restoreRun{
-		Server: srv, Link: link, ChunkPages: 16,
-		Dedup: true, Delta: true, Choke: choke, Gate: gate,
-	}.run(d.cfg, d.nand, deviceID, d.cut, d.want, d.endAt)
+func runRecoveryRestore(rig *fleetRig, rr restoreRun, cfg core.Config, d *poweredOff, row *RecoveryDeviceRow) error {
+	rd, err := rr.run(rig, cfg, d)
 	if err != nil {
 		return err
 	}
-	dev, at, rep := rd.dev, rd.at, rd.rep
+	dev, at, rep := rd.dev, rd.at, d.rep
 	defer dev.Close()
 
-	d.row.RTOms = float64(rep.RTO) / 1e6
-	d.row.RestoredPages = rep.PagesRestored
-	d.row.ZeroedPages = rep.PagesZeroed
-	d.row.KeptPages = rep.PagesKept
-	d.row.Chunks = rep.Chunks
-	d.row.Resumes = rep.Resumes
-	d.row.RestoreWireMiB = float64(rep.BytesWire) / float64(1<<20)
-	d.row.RestoreLogicalMiB = float64(rep.BytesLogical) / float64(1<<20)
-	d.row.LiteralPages = rep.PagesLiteral
-	d.row.RefPages = rep.PagesRef
-	d.row.AnchorSeq = rep.Anchor
+	row.RTOms = float64(rep.RTO) / 1e6
+	row.RestoredPages = rep.PagesRestored
+	row.ZeroedPages = rep.PagesZeroed
+	row.KeptPages = rep.PagesKept
+	row.Chunks = rep.Chunks
+	row.Resumes = rep.Resumes
+	row.RestoreWireMiB = float64(rep.BytesWire) / float64(1<<20)
+	row.RestoreLogicalMiB = float64(rep.BytesLogical) / float64(1<<20)
+	row.LiteralPages = rep.PagesLiteral
+	row.RefPages = rep.PagesRef
+	row.AnchorSeq = rep.Anchor
 	if rep.Anchor == 0 {
 		return fmt.Errorf("dedup restore found no checkpoint anchor")
 	}
-	d.row.Verified = rd.verified
-	d.row.BacklogPages = dev.Stats().RetainedNow
+	row.Verified = d.verified
+	row.BacklogPages = dev.Stats().RetainedNow
 
 	// Simulated outage: the offload session dies with restore backlog
 	// still retained; the engine must redial and drain it.
@@ -428,10 +334,10 @@ func runRecoveryRestore(srv *remote.Server, link *remote.RecoveryLink, d *recove
 	if err != nil {
 		return fmt.Errorf("backlog drain: %w", err)
 	}
-	d.row.DrainMs = float64(at.Sub(drainStart)) / 1e6
+	row.DrainMs = float64(at.Sub(drainStart)) / 1e6
 	st := dev.Stats()
-	d.row.Redials = st.Redials
-	d.row.ResumeGap = st.ResumeGap
+	row.Redials = st.Redials
+	row.ResumeGap = st.ResumeGap
 	if st.LastOffloadError != "" {
 		return fmt.Errorf("sticky offload error after drain: %s", st.LastOffloadError)
 	}
@@ -443,12 +349,7 @@ func RenderFleetRecovery(res *RecoveryFleetResult) string {
 	tb := metrics.NewTable("device", "role", "detected", "RTO ms", "restored/zero/kept",
 		"chunks", "resumes", "wire MiB", "logical MiB", "verified", "backlog", "redials", "gap", "drain ms")
 	for _, r := range res.Rows {
-		det := "-"
-		if r.Detected {
-			det = "caught"
-		} else if r.Attacked {
-			det = "MISSED"
-		}
+		det := detectedCell(r.Attacked, r.Detected)
 		ver := "OK"
 		if !r.Verified {
 			ver = "MISMATCH"

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"repro/internal/batch"
+	"repro/internal/host"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -50,4 +51,34 @@ func submitRecord(dev batch.Device, ops []batch.Op, issue simclock.Time) (simclo
 		}
 	}
 	return simclock.Max(issue, done), nil
+}
+
+// replay drives n trace records from g through dev's batched datapath and
+// returns the completion high-water mark, never below end. A record issues
+// at its trace time plus off or, saturated, the instant the device
+// finished the one before: the device, not the trace, sets the pace. step,
+// when set, sees each submitted record's latency and the high-water mark.
+func replay(dev host.BatchDevice, g *workload.Generator, n int, end simclock.Time, off simclock.Duration,
+	saturate bool, step func(lat simclock.Duration, end simclock.Time)) (simclock.Time, error) {
+	var ops []batch.Op
+	for j := 0; j < n; j++ {
+		rec := g.Next()
+		ops = recordBatch(g, rec, dev.LogicalPages(), ops[:0])
+		if len(ops) == 0 {
+			continue
+		}
+		issue := rec.At + simclock.Time(off)
+		if saturate {
+			issue = end
+		}
+		done, err := submitRecord(dev, ops, issue)
+		if err != nil {
+			return end, err
+		}
+		end = simclock.Max(end, done)
+		if step != nil {
+			step(done.Sub(issue), end)
+		}
+	}
+	return end, nil
 }

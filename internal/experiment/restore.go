@@ -6,25 +6,19 @@ import (
 	"net"
 
 	"repro/internal/core"
-	"repro/internal/nand"
 	"repro/internal/nvmeoe"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 )
 
 // restoreRun is the one power-on restore harness every fleet experiment
-// drives its restores through (recovery, dedup, qos). It owns the pieces
-// the experiments used to copy-paste: the dial factory, the reopen over
-// the surviving flash, the mid-stream choke injection, the streamed
+// drives its restores through (recovery, dedup, qos, soak): the reopen
+// over the surviving flash, the mid-stream choke injection, the streamed
 // RestoreImage call charged to the recovery link's QoS arbiter, and the
-// page-identical verification — so the link/NIC setup lives in exactly
-// one place.
+// page-identical verification. Every session dials through the rig's
+// cluster, so in the soak restore sessions pass the fault injector's
+// WrapConn like any other.
 type restoreRun struct {
-	Server *remote.Server
-	// Dial overrides the session factory. Nil dials the Server loopback;
-	// the chaos soak dials through its cluster instead, so restore
-	// sessions pass the fault injector's WrapConn like any other.
-	Dial func() (*remote.Client, error)
 	// Link is the restore-class charge point on the NIC arbiter (private
 	// or shared — the caller decides by how it builds the link).
 	Link *remote.RecoveryLink
@@ -44,33 +38,48 @@ type restoreRun struct {
 	Gate func()
 }
 
-// restoredDevice is what a run hands back. The caller owns dev and client
-// and closes both (the fleet experiment keeps them open for its
-// post-restore outage drain).
-type restoredDevice struct {
+// poweredOff is one device across its power cycle: the device as it was
+// at power-off (closed; its flash survives), the rollback cut, the page
+// contents expected there, and the device clock at power-off. run fills
+// in the restore's report and verdict.
+type poweredOff struct {
 	dev      *core.RSSD
-	client   *remote.Client
-	at       simclock.Time
+	cut      uint64
+	want     map[uint64][]byte
+	endAt    simclock.Time
 	rep      core.RestoreReport
-	verified bool // every `want` page read back identical
+	verified bool // every want page read back identical
 }
 
-// run reopens one device over its surviving flash, stream-restores the
-// image at `cut`, and verifies it page-identical against `want`.
-func (rr restoreRun) run(cfg core.Config, nd *nand.Device, deviceID, cut uint64,
-	want map[uint64][]byte, endAt simclock.Time) (*restoredDevice, error) {
-	srv := rr.Server
-	dial := rr.Dial
-	if dial == nil {
-		dial = func() (*remote.Client, error) { return remote.Loopback(srv, PSK, deviceID) }
+// poweredDevs is the devices of a cohort, for the pool gauge's NAND
+// residency (the flash a restore reopens over is the same array).
+func poweredDevs(devs []*poweredOff) []*core.RSSD {
+	out := make([]*core.RSSD, len(devs))
+	for i, d := range devs {
+		out[i] = d.dev
 	}
-	cfg.Dial = dial // the reopened device redials dead offload sessions itself
+	return out
+}
 
+// restoredDevice is the powered-on device a run hands back. The caller
+// owns dev and client and closes both (the recovery experiment keeps them
+// open for its post-restore outage drain).
+type restoredDevice struct {
+	dev    *core.RSSD
+	client *remote.Client
+	at     simclock.Time
+}
+
+// run reopens d over its surviving flash with cfg, stream-restores the
+// image at d.cut, and verifies it page-identical against d.want.
+func (rr restoreRun) run(rig *fleetRig, cfg core.Config, d *poweredOff) (*restoredDevice, error) {
+	id := cfg.DeviceID
+	dial := cfg.Dial // the reopened device redials dead offload sessions itself
 	client, err := dial()
 	if err != nil {
 		return nil, err
 	}
-	dev, err := core.Reopen(cfg, nd, client)
+	dev, err := core.Reopen(cfg, d.dev.FTL().Device(), client)
 	if err != nil {
 		client.Close()
 		return nil, fmt.Errorf("reopen: %w", err)
@@ -82,47 +91,38 @@ func (rr restoreRun) run(cfg core.Config, nd *nand.Device, deviceID, cut uint64,
 	}
 
 	// The choked device's first recovery session dies mid-stream: the
-	// restorer must resume from its cursor on a fresh session.
-	restoreDial := dial
-	if rr.Choke {
-		dials := 0
-		restoreDial = func() (*remote.Client, error) {
-			dials++
-			if dials == 1 {
-				dc, sc := net.Pipe()
-				srv.Accept(sc)
-				// Handshake (2 reads) + one 3-read chunk frame: the link
-				// dies with the first chunk applied and the rest unsent.
-				return remote.Dial(remote.NewChokeConn(dc, 5), PSK, deviceID)
-			}
-			return dial()
+	// restorer must resume from its cursor on a fresh session. The gate
+	// fires after the first session that dials.
+	dials, gated := 0, rr.Gate == nil
+	restoreDial := func() (c *remote.Client, err error) {
+		if dials++; rr.Choke && dials == 1 {
+			owner, _ := rig.cluster.Owner(id) // placed by the reopen's dial
+			dc, sc := net.Pipe()
+			rig.cluster.Server(owner).Accept(sc)
+			// Handshake (2 reads) + one 3-read chunk frame: the link
+			// dies with the first chunk applied and the rest unsent.
+			c, err = remote.Dial(remote.NewChokeConn(dc, 5), PSK, id)
+		} else {
+			c, err = dial()
 		}
-	}
-
-	if gate := rr.Gate; gate != nil {
-		inner := restoreDial
-		fired := false
-		restoreDial = func() (*remote.Client, error) {
-			c, err := inner()
-			if err == nil && !fired {
-				fired = true
-				gate()
-			}
-			return c, err
+		if err == nil && !gated {
+			gated = true
+			rr.Gate()
 		}
+		return c, err
 	}
 
 	chunkPages := rr.ChunkPages
 	if chunkPages == 0 {
 		chunkPages = int(nvmeoe.ChunkPagesForQuantum(dev.FTL().PageSize()))
 	}
-	at, rep, err := dev.RestoreImage(cut, core.RestoreOptions{
+	at, rep, err := dev.RestoreImage(d.cut, core.RestoreOptions{
 		Dial:       restoreDial,
 		Link:       rr.Link,
 		ChunkPages: chunkPages,
 		Dedup:      rr.Dedup,
 		Delta:      rr.Delta,
-	}, endAt)
+	}, d.endAt)
 	if err != nil {
 		return fail(fmt.Errorf("restore: %w", err))
 	}
@@ -130,16 +130,43 @@ func (rr restoreRun) run(cfg core.Config, nd *nand.Device, deviceID, cut uint64,
 		return fail(fmt.Errorf("choked device restored without a resume (disconnect not exercised)"))
 	}
 
-	rd := &restoredDevice{dev: dev, client: client, at: at, rep: rep, verified: true}
-	for lpn, w := range want {
+	d.rep, d.verified = rep, true
+	for lpn, w := range d.want {
 		got, _, err := dev.Read(lpn, at)
 		if err != nil {
 			return fail(fmt.Errorf("verify read lpn %d: %w", lpn, err))
 		}
 		if !bytes.Equal(got, w) {
-			rd.verified = false
+			d.verified = false
 			break
 		}
 	}
-	return rd, nil
+	return &restoredDevice{dev: dev, client: client, at: at}, nil
+}
+
+// restoreAll restores every device of a cohort concurrently through rr,
+// with cfg(i) as device i's power-on config, and closes each restored
+// device: for cohorts that measure the restore alone.
+func (rr restoreRun) restoreAll(rig *fleetRig, devs []*poweredOff, cfg func(i int) core.Config) error {
+	return eachDevice(len(devs), func(i int) error {
+		rd, err := rr.run(rig, cfg(i), devs[i])
+		if err != nil {
+			return err
+		}
+		rd.dev.Close()
+		rd.client.Close()
+		return nil
+	})
+}
+
+// restoreRTO is the mean and max restore RTO, in ms, over devs.
+func restoreRTO(devs []*poweredOff) (mean, max float64) {
+	var total, top simclock.Duration
+	for _, d := range devs {
+		total += d.rep.RTO
+		if d.rep.RTO > top {
+			top = d.rep.RTO
+		}
+	}
+	return float64(total) / float64(len(devs)) / 1e6, float64(top) / 1e6
 }

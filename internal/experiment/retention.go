@@ -111,20 +111,18 @@ func retentionTier(s Scale, devices int, backend string) (RetentionTierRow, erro
 	row.QueueDepth = tune.OffloadQueueDepth
 	row.HighWater = tune.OffloadHighWater
 	row.LowWater = tune.OffloadLowWater
-	pass, err := runFleetOn(s, devices, fleetOpts{withAttacks: true, tune: tune}, store)
+	rig := newFleetRig(s, store, remote.ClusterConfig{})
+	defer rig.close()
+	pass, err := runFleetOn(rig, devices, fleetReplayOps(s), fleetOpts{withAttacks: true, tune: tune})
 	if err != nil {
 		return row, err
 	}
+	pass.close()
 
+	sum := pass.summary()
+	row.Attacked, row.Caught, row.FalseAlerts = sum.Attacked, sum.Caught, sum.FalseAlerts
 	var ackSum float64
 	for _, r := range pass.rows {
-		if r.Attacked {
-			row.Attacked++
-			if r.Detected {
-				row.Caught++
-			}
-		}
-		row.FalseAlerts += r.FalseAlerts
 		ackSum += r.AckLatUs * float64(r.Segments)
 		ds := store.DeviceStats(r.Device)
 		row.Segments += uint64(ds.Segments)

@@ -21,6 +21,11 @@ func TestSoakShort(t *testing.T) {
 	if res.WedgedFaults != 0 {
 		t.Fatalf("%d faults wedged", res.WedgedFaults)
 	}
+	// Conn, wire and tier faults heal through redial and drain retries,
+	// not through the scripted outage before a restore.
+	if res.HealP99MsMax <= 0 || res.HealP99MsMax > soakHealP99MaxMs {
+		t.Fatalf("heal-latency p99 %.1f ms, want (0, %.0f] ms", res.HealP99MsMax, soakHealP99MaxMs)
+	}
 	if res.EntriesLost != 0 || res.SegmentsLost != 0 {
 		t.Fatalf("durability: %d entries / %d segments lost", res.EntriesLost, res.SegmentsLost)
 	}
@@ -45,8 +50,8 @@ func TestSoakShort(t *testing.T) {
 }
 
 // TestSoakDeterministicReplay re-runs the same seed and requires the
-// fault ledger to replay exactly — the reproduce-from-seed contract the
-// gate-failure message promises.
+// fault ledger and the invariant-check count to replay exactly — the
+// reproduce-from-seed contract the gate-failure message promises.
 func TestSoakDeterministicReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay pass doubles the soak; skipped in -short")
@@ -72,5 +77,9 @@ func TestSoakDeterministicReplay(t *testing.T) {
 	}
 	if a.Kills != b.Kills {
 		t.Fatalf("kill schedule diverged: %d vs %d", a.Kills, b.Kills)
+	}
+	if a.InvariantChecks != b.InvariantChecks {
+		t.Fatalf("invariant checks diverged across runs of seed %d: %d vs %d",
+			opt.Seed, a.InvariantChecks, b.InvariantChecks)
 	}
 }

@@ -8,7 +8,7 @@
 // approximated by a generator matched on the characteristics that drive
 // RSSD's retention behaviour: write fraction, daily write volume, working
 // set size, access skew, request size, trim rate, and content
-// compressibility. DESIGN.md documents this substitution.
+// compressibility.
 package workload
 
 import (
